@@ -8,8 +8,8 @@ Instance documents look like::
      "forced": {"vertex": 0, "colors": [1, 2]}}
 
 Exit codes: 0 colorable (or valid, or true), 1 not colorable (invalid,
-false), 2 input error, 3 internal invariant violation.  Identical inputs
-produce byte-identical output.
+false), 2 input error, 3 internal error: a violated invariant or any other
+bug.  Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -362,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug, not an answer: never exit 1 for it
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -4,15 +4,18 @@ For a connected induced subgraph H of the path, Hall's condition asks the
 sum over colors k of the independence number of the vertices of H whose
 lists contain k to be at least the total weight of H.  On paths the
 condition over all subpaths is not only necessary but sufficient, which
-turns colorability into interval counting.  On waterfall lists every color
-contributes exactly one to the sum, so the alpha sum collapses to the
-amplitude size and the check gets cheap; with the good-list bound it
+turns colorability into interval counting.
+
+Every coloring comes from one linear left-to-right greedy that keeps the
+condition on the rest of the path, so it colors exactly the colorable
+paths; the interval scan runs only to explain a "no".  On waterfall lists
+every color contributes exactly one to the sum, so the alpha sum collapses
+to the amplitude size and the check gets cheap; with the good-list bound it
 collapses further to the prefix intervals alone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,11 +33,9 @@ from .model import (
     amplitude,
     as_lists,
     as_weights,
-    is_good,
     is_waterfall,
     validate_coloring,
 )
-from .waterfall import pull_back_coloring, to_waterfall
 
 
 @dataclass(frozen=True)
@@ -87,18 +88,29 @@ def _checked(lists, weights) -> tuple[ListAssignment, Weights]:
 
 
 def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> Decision:
-    """Decide colorability of a weighted path by checking every subpath.
+    """Decide colorability of a weighted path by Hall's condition on its subpaths.
 
-    Colorable iff the Hall sum of every interval reaches its weight demand;
-    the witness coloring comes from ``construct_coloring_general``.  On
-    failure the certificate names the lexicographically smallest violating
-    interval together with its alpha sum and demand.
+    The greedy colors the path whenever the condition holds.  When it runs
+    short, the interval scan supplies the certificate: the lexicographically
+    smallest violating interval together with its alpha sum and demand.
+    """
+    L, w = _checked(lists, weights)
+    coloring = _greedy(L, w)
+    if coloring is not None:
+        return Decision(True, coloring=_validated(L, w, coloring))
+    certificate = _hall_scan(L, w)
+    if certificate is None:
+        raise InternalInvariantError("the greedy ran short on lists that pass Hall's condition")
+    return Decision(False, certificate=certificate)
+
+
+def _hall_scan(L: ListAssignment, w: Weights) -> Certificate | None:
+    """The lexicographically smallest subpath whose Hall sum misses its demand.
 
     The alpha sums are accumulated incrementally: extending the interval by
     one vertex grows each color's current run, and a run of length r
     contributes another unit exactly when r is odd.
     """
-    L, w = _checked(lists, weights)
     m = len(L)
     prefix_w = [0]
     for wv in w:
@@ -115,13 +127,8 @@ def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> D
                     alpha_sum += 1
                 run_len[k] = r
             if alpha_sum < prefix_w[j + 1] - prefix_w[i]:
-                return Decision(
-                    False,
-                    certificate=Certificate(
-                        i, j, alpha_sum, prefix_w[j + 1] - prefix_w[i]
-                    ),
-                )
-    return Decision(True, coloring=construct_coloring_general(L, w))
+                return Certificate(i, j, alpha_sum, prefix_w[j + 1] - prefix_w[i])
+    return None
 
 
 def decide_waterfall(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> Decision:
@@ -151,12 +158,7 @@ def decide_waterfall(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> 
             need = w_pre[j + 1] - w_pre[i]
             if amp < need:
                 return Decision(False, certificate=Certificate(i, j, amp, need))
-    coloring = _first_coloring(L, w, prefer_exclusive=True)
-    if coloring is None:
-        raise InternalInvariantError(
-            "backtracking exhausted on a waterfall list that passed the interval checks"
-        )
-    return Decision(True, coloring=coloring)
+    return Decision(True, coloring=_validated(L, w, _greedy(L, w)))
 
 
 def decide_waterfall_prefix(
@@ -190,82 +192,74 @@ def decide_waterfall_prefix(
         demand += w[j]
         if amp < demand:
             return Decision(False, certificate=Certificate(0, j, amp, demand))
-    return Decision(True, coloring=construct_coloring_waterfall(L, w))
+    return Decision(True, coloring=_validated(L, w, _greedy(L, w)))
 
 
-def _first_coloring(L: ListAssignment, w: Weights, prefer_exclusive: bool) -> Coloring | None:
-    """Depth-first search for a coloring, greedy choice explored first.
+def _greedy(L: ListAssignment, w: Weights) -> Coloring | None:
+    """Color the path left to right, or return None when a vertex runs short.
 
-    With ``prefer_exclusive`` the candidates at vertex i are ordered with
-    colors absent from L(i+1) first (smallest value breaking ties), otherwise
-    in plain ascending order; subsets are then tried in lexicographic order
-    over that sequence, so the first leaf visited is the greedy pick and the
-    search stays exhaustive.
+    Vertex v takes the first w(v) colors of L(v) - c(v-1), with x's run
+    counted over the consecutive lists from v+1 that contain it:
+
+    1. colors absent from L(v+1);
+    2. runs of even length that stop before the path end, shortest first;
+    3. runs that reach the path end;
+    4. runs of odd length that stop before the path end, longest first;
+
+    ties going by color value.  Fixing c(v) only shrinks L(v+1), and
+    removing x from it lowers the Hall sum of a subpath v+1..j by one
+    exactly when x's run, cut off at j, has odd length.  In the order above
+    the sets of such j are nested, so the first w(v) colors keep Hall's
+    condition on v+1.. whenever any choice of w(v) colors does.
     """
     m = len(L)
-    out: list[tuple[int, ...]] = [()] * m
+    # runs[v][x]: how many consecutive lists from v on contain x
+    runs: list[dict[int, int]] = [{}]
+    for colors in reversed(L):
+        after = runs[-1]
+        runs.append({x: after.get(x, 0) + 1 for x in colors})
+    runs.reverse()
 
-    def rec(v: int, prev: frozenset[int]) -> bool:
-        if v == m:
-            return True
-        avail = L[v] - prev
-        if prefer_exclusive and v + 1 < m:
-            nxt = L[v + 1]
-            cand = sorted(avail, key=lambda x: (x in nxt, x))
-        else:
-            cand = sorted(avail)
-        for combo in itertools.combinations(cand, w[v]):
-            out[v] = combo
-            if rec(v + 1, frozenset(combo)):
-                return True
-        return False
+    out: list[frozenset[int]] = []
+    taken: frozenset[int] = frozenset()
+    for v in range(m):
+        nxt, to_end = runs[v + 1], m - 1 - v
 
-    if not rec(0, frozenset()):
-        return None
-    return tuple(frozenset(entry) for entry in out)
+        def cost(x: int) -> tuple[int, int, int]:
+            r = nxt.get(x, 0)
+            if r == 0:
+                return (0, 0, x)
+            if r == to_end:
+                return (2, 0, x)
+            return (3, -r, x) if r & 1 else (1, r, x)
+
+        avail = sorted(L[v] - taken, key=cost)
+        if len(avail) < w[v]:
+            return None
+        taken = frozenset(avail[: w[v]])
+        out.append(taken)
+    return tuple(out)
+
+
+def _validated(L: ListAssignment, w: Weights, coloring: Coloring | None) -> Coloring:
+    if coloring is None or not validate_coloring(Instance.path(w, L), coloring):
+        raise InternalInvariantError("no valid greedy coloring of lists that pass the checks")
+    return coloring
 
 
 def construct_coloring_waterfall(
     lists: Iterable[Iterable[int]], weights: Iterable[int]
 ) -> Coloring:
-    """Build a coloring of a colorable waterfall list.
-
-    Left-to-right greedy preferring colors that the next list cannot use,
-    with exhaustive backtracking as fallback.  The search exhausting even
-    though the interval checks pass would contradict the waterfall
-    characterization, hence ``InternalInvariantError``.
-    """
+    """Build a coloring of a waterfall list that ``decide_waterfall`` accepts."""
     L, w = _checked(lists, weights)
     if not is_waterfall(L):
         raise NotWaterfallError("lists at distance two or more share a color")
-    c = _first_coloring(L, w, prefer_exclusive=True)
-    if c is None:
-        raise InternalInvariantError(
-            "backtracking exhausted; the instance fails the waterfall interval "
-            "characterization that callers must establish first"
-        )
-    return c
+    return _validated(L, w, _greedy(L, w))
 
 
 def construct_coloring_general(
     lists: Iterable[Iterable[int]], weights: Iterable[int]
 ) -> Coloring:
-    """Build a coloring of a path instance that satisfies Hall's condition.
-
-    Good lists go through the waterfall transform, get colored there and the
-    coloring is pulled back; other lists fall back to direct backtracking in
-    lexicographic order.
-    """
+    """Build a coloring of a path instance that satisfies Hall's condition."""
     L, w = _checked(lists, weights)
-    if is_good(L, w):
-        wf, report = to_waterfall(L, w)
-        c = construct_coloring_waterfall(wf, w)
-        return pull_back_coloring(report, c, L, w)
-    c = _first_coloring(L, w, prefer_exclusive=False)
-    if c is None:
-        raise InternalInvariantError(
-            "backtracking exhausted although Hall's condition was reported to hold"
-        )
-    if not validate_coloring(Instance.path(w, L), c):
-        raise InternalInvariantError("constructed coloring failed validation")
-    return c
+    return _validated(L, w, _greedy(L, w))

@@ -57,7 +57,8 @@ def _search(
 ) -> Decision:
     m = inst.n_vertices
 
-    # color sets as bitmasks, indexed by the color value itself
+    # color sets as bitmasks, one bit per color in play whatever its value
+    bit = {c: 1 << k for k, c in enumerate(frozenset().union(*inst.lists))}
     candidates = []
     for v in range(m):
         if pinned is not None and v == pinned[0]:
@@ -68,38 +69,38 @@ def _search(
         for combo in combos:
             mask = 0
             for c in combo:
-                mask |= 1 << c
+                mask |= bit[c]
             row.append((mask, combo))
         candidates.append(row)
 
     wrap = inst.topology is Topology.CYCLE
     chosen: list[tuple[int, ...]] = [()] * m
+    masks = [0] * m
     cap = budget.max_nodes
     nodes = 0
 
-    def rec(v: int, prev_mask: int, first_mask: int) -> bool:
-        nonlocal nodes
+    # one iterator over the candidates of each vertex on the current branch
+    stack = [iter(candidates[0])]
+    while stack:
+        v = len(stack) - 1
+        prev_mask = masks[v - 1] if v else 0
         last = v == m - 1
-        for mask, combo in candidates[v]:
+        for mask, combo in stack[-1]:
             nodes += 1
             if nodes > cap:
                 raise BudgetExceededError(nodes, cap)
             if mask & prev_mask:
                 continue
-            if last and wrap and mask & first_mask:
+            if last and wrap and mask & masks[0]:
                 continue
             chosen[v] = combo
-            if last:
-                return True
-            if rec(v + 1, mask, first_mask if v else mask):
-                return True
-        return False
-
-    if rec(0, 0, 0):
-        return Decision(True, coloring=tuple(frozenset(c) for c in chosen))
-    return Decision(
-        False,
-        certificate=Certificate(
-            0, m - 1, len(set().union(*inst.lists)), sum(inst.weights)
-        ),
-    )
+            masks[v] = mask
+            break
+        else:
+            stack.pop()
+            continue
+        if last:
+            return Decision(True, coloring=tuple(frozenset(c) for c in chosen))
+        stack.append(iter(candidates[v + 1]))
+    summary = Certificate(0, m - 1, len(bit), sum(inst.weights))
+    return Decision(False, certificate=summary)

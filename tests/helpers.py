@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from choosable import Instance
 
@@ -53,3 +54,19 @@ def waterfall_lists(universe, max_size, m):
                 acc.pop()
 
     yield from rec(0, frozenset(), frozenset(), [])
+
+
+def planted_good_path(seed, m, weight=2, size=6, colors=12):
+    """Weights and good lists of a path with a planted coloring.
+
+    Every list holds ``size`` of ``colors`` colors and contains a
+    ``weight``-subset disjoint from the one planted at the vertex before.
+    """
+    rng = random.Random(seed)
+    palette = range(colors)
+    weights, lists, planted = [weight] * m, [], set()
+    for _ in range(m):
+        planted = set(rng.sample([c for c in palette if c not in planted], weight))
+        rest = rng.sample([c for c in palette if c not in planted], size - weight)
+        lists.append(sorted(planted) + rest)
+    return weights, lists

@@ -13,7 +13,7 @@ from choosable.cli import (
     parse_decision,
     parse_instance,
 )
-from helpers import L
+from helpers import L, planted_good_path
 
 
 PATH_DOC = '{"graph":"path","weights":[1,1],"lists":[[1,2],[2,3]]}'
@@ -136,10 +136,30 @@ class TestMain:
         def boom(lists, weights):
             raise InternalInvariantError("forced failure")
 
-        monkeypatch.setattr(hall, "construct_coloring_general", boom)
+        monkeypatch.setattr(hall, "_greedy", boom)
         rc = main(["decide", self._doc(tmp_path, PATH_DOC)])
         assert rc == 3
         assert "internal invariant" in capsys.readouterr().err
+
+    def test_unexpected_exception_exit_three(self, tmp_path, capsys, monkeypatch):
+        import choosable.cli as cli
+
+        def boom(lists, weights):
+            raise RuntimeError("forced\nfailure")
+
+        monkeypatch.setattr(cli, "hall_check_path", boom)
+        rc = main(["decide", self._doc(tmp_path, PATH_DOC)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def test_long_path_decide_then_verify(self, tmp_path, capsys):
+        w, lists = planted_good_path(7, 100_000)
+        inst = self._doc(tmp_path, json.dumps({"graph": "path", "weights": w, "lists": lists}))
+        assert main(["decide", inst]) == 0
+        answer = self._doc(tmp_path, capsys.readouterr().out, "answer.json")
+        assert main(["verify", inst, answer]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True}
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         doc = '{"graph":"cycle","weights":[1,1,1],"lists":[[1,2],[1,2],[1,2]]}'

@@ -21,6 +21,7 @@ from choosable import (
     hall_summands,
     validate_coloring,
 )
+from choosable.hall import _greedy, _hall_scan
 from helpers import L, waterfall_lists, weight_vectors
 
 
@@ -258,9 +259,10 @@ class TestConstructColoringGeneral:
     def test_non_good_route(self):
         assert construct_coloring_general(L({1}, {2}, {1}), (1, 1, 1)) == L({1}, {2}, {1})
 
-    def test_good_route_through_waterfall(self):
+    def test_good_lists_colored_by_greedy(self):
+        # the end of the path takes its smallest color: 1 is free again there
         assert construct_coloring_general(L({1}, {1, 2}, {1, 3}), (1, 1, 1)) == L(
-            {1}, {2}, {3}
+            {1}, {2}, {1}
         )
 
     def test_disjoint_singletons(self):
@@ -269,3 +271,41 @@ class TestConstructColoringGeneral:
     def test_exhausted_search_is_internal_error(self):
         with pytest.raises(InternalInvariantError):
             construct_coloring_general(L({1}, {1}, {2, 3}), (1, 1, 1))
+
+
+class TestGreedy:
+    def test_fails_exactly_when_hall_scan_finds_a_violation(self):
+        rng = random.Random(2010)
+        colorable = 0
+        for _ in range(20_000):
+            m = rng.randint(1, 12)
+            lists = tuple(
+                frozenset(rng.sample(range(6), rng.randint(1, 6))) for _ in range(m)
+            )
+            w = tuple(rng.randint(0, 3) for _ in range(m))
+            coloring = _greedy(lists, w)
+            assert (coloring is None) == (_hall_scan(lists, w) is not None), (lists, w)
+            if coloring is not None:
+                assert validate_coloring(Instance.path(w, lists), coloring), (lists, w)
+                colorable += 1
+        # both outcomes are well represented
+        assert 5_000 < colorable < 15_000
+
+    def test_cost_classes_in_order(self):
+        # at vertex 0: 9 is absent from L(1), 2 runs 2 vertices and stops,
+        # 3 runs to the path end, 1 runs 1 vertex and stops
+        lists = L({1, 2, 3, 9}, {1, 2, 3}, {2, 3}, {3, 4}, {3})
+        assert [_greedy(lists, (k, 0, 0, 0, 0))[0] for k in range(1, 5)] == [
+            {9},
+            {9, 2},
+            {9, 2, 3},
+            {9, 2, 3, 1},
+        ]
+
+    def test_odd_runs_longest_first_even_runs_shortest_first(self):
+        # from vertex 1 on, color 1 runs 1 vertex and color 2 runs 3
+        odd = L({1, 2}, {1, 2}, {2}, {2}, {5})
+        assert _greedy(odd, (1, 0, 0, 0, 0))[0] == {2}
+        # from vertex 1 on, color 1 runs 4 vertices and color 2 runs 2
+        even = L({1, 2}, {1, 2}, {1, 2}, {1}, {1}, {5})
+        assert _greedy(even, (1, 0, 0, 0, 0, 0))[0] == {2}

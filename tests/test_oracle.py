@@ -13,7 +13,7 @@ from choosable import (
     counterexample_list,
     validate_coloring,
 )
-from helpers import L
+from helpers import L, planted_good_path
 
 
 class TestBruteForce:
@@ -49,6 +49,18 @@ class TestBruteForce:
             brute_force(inst, SearchBudget(max_nodes=5))
         assert exc.value.nodes == 6
         assert exc.value.max_nodes == 5
+
+    def test_long_path_needs_no_recursion(self):
+        w, lists = planted_good_path(1, 1200)
+        inst = Instance.path(w, lists)
+        d = brute_force(inst)
+        assert d.colorable and validate_coloring(inst, d.coloring)
+
+    def test_huge_color_values(self):
+        big = 2**62
+        inst = Instance.path((1, 2, 1), L({big, 1}, {big, big + 1, 3}, {big + 1}))
+        d = brute_force(inst)
+        assert d.coloring == L({1}, {3, big}, {big + 1})
 
     def test_verdict_invariant_under_relabeling(self):
         rng = random.Random(3)
