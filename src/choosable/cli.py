@@ -47,6 +47,15 @@ class ParseError(InvalidInputError):
     """The document is not well-formed against the schema."""
 
 
+def _load_json(text: str | bytes) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+
+
 def _require(doc: dict, field: str, where: str = "document") -> Any:
     if field not in doc:
         raise ParseError(f'missing field "{field}" in {where}')
@@ -70,12 +79,7 @@ def parse_instance(text: str | bytes) -> Instance | FreeChoiceInstance:
 
     Duplicate colors inside one list are dropped with a warning.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
 
@@ -91,7 +95,7 @@ def parse_instance(text: str | bytes) -> Instance | FreeChoiceInstance:
         colors = _int_array(entry, f"lists[{i}]")
         if len(set(colors)) != len(colors):
             warnings.warn(f"duplicate colors removed from list {i}", stacklevel=2)
-        lists.append(frozenset(colors))
+        lists.append(colors)
 
     topology = Topology.PATH if graph == "path" else Topology.CYCLE
     inst = Instance(topology, tuple(weights), tuple(lists))
@@ -149,12 +153,7 @@ def emit_decision(decision: Decision) -> str:
 
 def parse_decision(text: str | bytes) -> Decision:
     """Inverse of ``emit_decision``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     colorable = _require(doc, "colorable")
@@ -194,12 +193,7 @@ def _read(path: str) -> str:
 
 def _parse_coloring_document(text: str) -> Coloring:
     """Accept a bare array of arrays, {"coloring": ...} or a decision document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _load_json(text)
     if isinstance(doc, dict):
         if "coloring" not in doc:
             raise ParseError('coloring document must contain a "coloring" field')

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .hall import hall_check_path
 from .model import (
     Decision,
-    InternalInvariantError,
     Instance,
     InvalidInputError,
     PreconditionError,
@@ -157,11 +156,14 @@ def counterexample_list(a: int, b: int, n: int) -> FreeChoiceInstance:
     whose forced choice {1..b} at vertex 0 propagates around the cycle and
     collides with itself, so no coloring extends it.  Requesting parameters
     at or above the threshold is an error: no counterexample exists there.
+    So is a < b, where the forced set cannot come from a list of size a.
     """
     if n < 4 or n % 2:
         raise PreconditionError(f"counterexamples exist for even n >= 4 only, got n = {n}")
     if a < 1 or b < 1:
         raise PreconditionError("a and b must be positive integers")
+    if a < b:
+        raise PreconditionError(f"a = {a} < b = {b}: the forced b-set does not fit in an a-list")
     if (n // 2) * (a - 2 * b) >= b:
         raise PreconditionError(
             f"a/b = {a}/{b} is not strictly below 2 + 1/{n // 2}; "
@@ -182,9 +184,6 @@ def counterexample_list(a: int, b: int, n: int) -> FreeChoiceInstance:
         else:
             block = (i - 2) // 2
             colors = range(b + block * a + 1, b + (block + 1) * a + 1)
-        entry = frozenset(colors)
-        if len(entry) != a:
-            raise InternalInvariantError(f"list at vertex {i} has size {len(entry)}, wanted {a}")
-        lists.append(entry)
+        lists.append(frozenset(colors))
     cycle = Instance.cycle([b] * n, lists)
     return FreeChoiceInstance(cycle, 0, frozenset(range(1, b + 1)))

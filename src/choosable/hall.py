@@ -6,12 +6,14 @@ lists contain k to be at least the total weight of H.  On paths the
 condition over all subpaths is not only necessary but sufficient, which
 turns colorability into interval counting.
 
-Every coloring comes from one linear left-to-right greedy that keeps the
+Every decider takes one route: a linear left-to-right greedy that keeps the
 condition on the rest of the path, so it colors exactly the colorable
-paths; the interval scan runs only to explain a "no".  On waterfall lists
-every color contributes exactly one to the sum, so the alpha sum collapses
-to the amplitude size and the check gets cheap; with the good-list bound it
-collapses further to the prefix intervals alone.
+paths, and, only when it runs short, the interval scan that names the
+lexicographically first violated subpath.  The paper's two special cases
+are theorems about that route, not separate passes.  On waterfall lists a
+color's run inside any subpath is at most two long, so every color adds
+exactly one and the Hall sum is the amplitude size; on good waterfall lists
+a violated subpath, if there is one, starts at vertex 0.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .model import (
     Weights,
     amplitude,
     as_lists,
-    as_weights,
+    checked_path,
     is_waterfall,
     validate_coloring,
 )
@@ -77,13 +79,10 @@ def hall_summands(lists: Iterable[Iterable[int]], i: int, j: int) -> tuple[HallS
     )
 
 
-def _checked(lists, weights) -> tuple[ListAssignment, Weights]:
-    L = as_lists(lists)
-    w = as_weights(weights)
-    if len(L) != len(w):
-        raise InvalidInputError(f"{len(w)} weights for {len(L)} lists")
-    if len(L) == 0:
-        raise InvalidInputError("at least one vertex required")
+def _checked_waterfall(lists, weights) -> tuple[ListAssignment, Weights]:
+    L, w = checked_path(lists, weights)
+    if not is_waterfall(L):
+        raise NotWaterfallError("lists at distance two or more share a color")
     return L, w
 
 
@@ -94,7 +93,11 @@ def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> D
     short, the interval scan supplies the certificate: the lexicographically
     smallest violating interval together with its alpha sum and demand.
     """
-    L, w = _checked(lists, weights)
+    return _decide(*checked_path(lists, weights))
+
+
+def _decide(L: ListAssignment, w: Weights) -> Decision:
+    """The greedy's coloring, or the scan's certificate when it runs short."""
     coloring = _greedy(L, w)
     if coloring is not None:
         return Decision(True, coloring=_validated(L, w, coloring))
@@ -134,46 +137,28 @@ def _hall_scan(L: ListAssignment, w: Weights) -> Certificate | None:
 def decide_waterfall(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> Decision:
     """Decide colorability of a waterfall list on a path.
 
-    Colorable iff every interval's amplitude size reaches its demand.  For
-    waterfall lists the amplitude size of ``i..j`` is the sum of the list
-    sizes minus the overlaps of consecutive lists, so all intervals are
-    checked with two prefix-sum arrays instead of set unions.
+    Colorable iff every interval's amplitude size reaches its demand: on a
+    waterfall list each color of an interval's amplitude adds exactly one
+    to its Hall sum.  Once the form is checked, the list is decided by the
+    route of ``hall_check_path``, so a certificate counts the amplitude of
+    the first violated interval.
     """
-    L, w = _checked(lists, weights)
-    if not is_waterfall(L):
-        raise NotWaterfallError("lists at distance two or more share a color")
-    m = len(L)
-    size_pre = [0]
-    for colors in L:
-        size_pre.append(size_pre[-1] + len(colors))
-    ov_pre = [0]
-    for k in range(m - 1):
-        ov_pre.append(ov_pre[-1] + len(L[k] & L[k + 1]))
-    w_pre = [0]
-    for wv in w:
-        w_pre.append(w_pre[-1] + wv)
-    for i in range(m):
-        for j in range(i, m):
-            amp = size_pre[j + 1] - size_pre[i] - (ov_pre[j] - ov_pre[i])
-            need = w_pre[j + 1] - w_pre[i]
-            if amp < need:
-                return Decision(False, certificate=Certificate(i, j, amp, need))
-    return Decision(True, coloring=_validated(L, w, _greedy(L, w)))
+    return _decide(*_checked_waterfall(lists, weights))
 
 
 def decide_waterfall_prefix(
     lists: Iterable[Iterable[int]], weights: Iterable[int]
 ) -> Decision:
-    """Decide colorability of a good waterfall list from prefix intervals alone.
+    """Decide colorability of a good waterfall list, whose bottleneck is a prefix.
 
     Requires ``|L(i)| >= w(i) + w(i+1)`` at interior vertices and
-    ``|L(n)| >= w(n)`` at the last one; under those hypotheses non-prefix
-    intervals can never be the bottleneck, so the linear pass agrees with
-    ``decide_waterfall``.
+    ``|L(n)| >= w(n)`` at the last one.  Under those hypotheses a non-prefix
+    interval is never the first to fail, so the path is colorable iff every
+    prefix's amplitude size reaches its demand, and the certificate of a
+    "no" always starts at vertex 0.  Once the hypotheses are checked, the
+    list is decided by the route of ``hall_check_path``.
     """
-    L, w = _checked(lists, weights)
-    if not is_waterfall(L):
-        raise NotWaterfallError("lists at distance two or more share a color")
+    L, w = _checked_waterfall(lists, weights)
     m = len(L)
     for i in range(1, m - 1):
         if len(L[i]) < w[i] + w[i + 1]:
@@ -185,14 +170,7 @@ def decide_waterfall_prefix(
         raise PreconditionError(
             f"last vertex has |L({m - 1})| = {len(L[m - 1])} < w({m - 1}) = {w[m - 1]}"
         )
-    amp = 0
-    demand = 0
-    for j in range(m):
-        amp += len(L[j]) - (len(L[j] & L[j - 1]) if j else 0)
-        demand += w[j]
-        if amp < demand:
-            return Decision(False, certificate=Certificate(0, j, amp, demand))
-    return Decision(True, coloring=_validated(L, w, _greedy(L, w)))
+    return _decide(L, w)
 
 
 def _greedy(L: ListAssignment, w: Weights) -> Coloring | None:
@@ -251,9 +229,7 @@ def construct_coloring_waterfall(
     lists: Iterable[Iterable[int]], weights: Iterable[int]
 ) -> Coloring:
     """Build a coloring of a waterfall list that ``decide_waterfall`` accepts."""
-    L, w = _checked(lists, weights)
-    if not is_waterfall(L):
-        raise NotWaterfallError("lists at distance two or more share a color")
+    L, w = _checked_waterfall(lists, weights)
     return _validated(L, w, _greedy(L, w))
 
 
@@ -261,5 +237,5 @@ def construct_coloring_general(
     lists: Iterable[Iterable[int]], weights: Iterable[int]
 ) -> Coloring:
     """Build a coloring of a path instance that satisfies Hall's condition."""
-    L, w = _checked(lists, weights)
+    L, w = checked_path(lists, weights)
     return _validated(L, w, _greedy(L, w))

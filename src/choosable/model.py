@@ -99,6 +99,19 @@ def as_weights(weights: Iterable[int]) -> Weights:
     return out
 
 
+def checked_path(
+    lists: Iterable[Iterable[int]], weights: Iterable[int]
+) -> tuple[ListAssignment, Weights]:
+    """Coerce the lists and weights of a path and check that they fit together."""
+    L = as_lists(lists)
+    w = as_weights(weights)
+    if len(L) != len(w):
+        raise InvalidInputError(f"{len(w)} weights for {len(L)} lists")
+    if len(L) == 0:
+        raise InvalidInputError("at least one vertex required")
+    return L, w
+
+
 @dataclass(frozen=True)
 class Instance:
     """A weighted path or cycle together with its list assignment."""

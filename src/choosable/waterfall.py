@@ -35,6 +35,7 @@ from .model import (
     NotGoodError,
     as_lists,
     as_weights,
+    checked_path,
     is_good,
     is_waterfall,
     validate_coloring,
@@ -165,12 +166,7 @@ def to_waterfall(
     backward direction of the similarity argument needs it, so non-good
     lists are rejected rather than processed best-effort.
     """
-    L = as_lists(lists)
-    w = as_weights(weights)
-    if len(L) != len(w):
-        raise InvalidInputError(f"{len(w)} weights for {len(L)} lists")
-    if len(L) == 0:
-        raise InvalidInputError("at least one vertex required")
+    L, w = checked_path(lists, weights)
     if not is_good(L, w):
         raise NotGoodError(
             "list is not good: some interior vertex has |L(i)| < w(i) + w(i+1)"

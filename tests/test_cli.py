@@ -190,6 +190,23 @@ class TestMain:
         ]
         assert out["report"]["iterations"] == 1
 
+    def test_waterfall_golden_output(self, tmp_path, capsys):
+        # a good, non-waterfall 8-vertex path that takes every stage of the
+        # transform; the bytes are pinned so the transform cannot drift
+        doc = (
+            '{"graph":"path","weights":[1,1,1,2,1,1,1,1],"lists":'
+            "[[3,1],[1,3],[1,2,4],[2,4,5],[5,6],[1,6,7],[1,7],[3,7]]}"
+        )
+        assert main(["waterfall", self._doc(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out == (
+            '{"lists": [[1, 2], [1, 2], [3, 4, 10], [3, 4, 5], [5, 6], [6, 7, 8], '
+            '[7, 8], [9, 11]], "report": {"run_renames": [{"old": 1, "new": 8, '
+            '"start": 5, "end": 6}, {"old": 3, "new": 9, "start": 7, "end": 7}], '
+            '"relabel_map": [[1, 2], [2, 3], [3, 1], [7, 8], [8, 7]], "replacements": '
+            '[{"old": 2, "new": 10, "start": 2, "end": 2}, {"old": 8, "new": 11, '
+            '"start": 7, "end": 7}], "fresh_colors": [8, 9, 10, 11], "iterations": 2}}\n'
+        )
+
     def test_waterfall_rejects_non_good(self, tmp_path, capsys):
         doc = '{"graph":"path","weights":[1,1,1],"lists":[[1,2,3],[1],[1,2,3]]}'
         assert main(["waterfall", self._doc(tmp_path, doc)]) == 2
@@ -233,7 +250,18 @@ class TestMain:
         assert main(["oracle", path]) == 1
 
     def test_counterexample_at_threshold_exit_two(self, capsys):
-        assert main(["counterexample", "--a", "5", "--b", "2", "--n", "4"]) == 2
+        # at the threshold, and with a forced set larger than the lists
+        for a, b, n in ((5, 2, 4), (2, 3, 4)):
+            assert main(["counterexample", "--a", str(a), "--b", str(b), "--n", str(n)]) == 2
+            assert capsys.readouterr().err.startswith("invalid input: ")
+
+    def test_negative_color_exit_two(self, tmp_path, capsys):
+        doc = self._doc(tmp_path, '{"graph":"path","weights":[1,1],"lists":[[-1],[-2,5]]}')
+        for command in ("decide", "oracle", "waterfall"):
+            assert main([command, doc]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "invalid input: colors must be non-negative integers, got -1\n"
 
     def test_quiet_suppresses_warnings(self, tmp_path, capsys, recwarn):
         doc = self._doc(tmp_path, '{"graph":"path","weights":[1],"lists":[[1,1]]}')

@@ -147,6 +147,11 @@ class TestDecideWaterfall:
         with pytest.raises(NotWaterfallError):
             decide_waterfall(L({1}, {2}, {1}), (1, 1, 1))
 
+    def test_first_violation_need_not_be_a_prefix(self):
+        # every prefix reaches its demand; vertices 1..2 share one color
+        d = decide_waterfall(L({1, 2}, {3}, {3}), (1, 1, 1))
+        assert d.certificate == Certificate(1, 2, 1, 2)
+
     def test_certificate_amplitude_recomputes(self):
         rng = random.Random(13)
         seen = 0
@@ -209,7 +214,7 @@ class TestDecideWaterfallPrefix:
 
     def test_agrees_with_decide_waterfall_under_preconditions(self):
         universe = tuple(range(1, 6))
-        checked = 0
+        checked = refused = 0
         for m in (1, 2, 3, 4):
             for lists in waterfall_lists(universe, 3, m):
                 w = (1,) * m
@@ -217,12 +222,17 @@ class TestDecideWaterfallPrefix:
                     continue
                 if len(lists[-1]) < 1:
                     continue
-                assert (
-                    decide_waterfall_prefix(lists, w).colorable
-                    == decide_waterfall(lists, w).colorable
-                ), lists
+                d = decide_waterfall_prefix(lists, w)
+                assert d.colorable == decide_waterfall(lists, w).colorable, lists
+                # the theorem, checked against ground truth rather than
+                # against a decider that shares its code: the verdict is
+                # the oracle's, and the first violated interval is a prefix
+                assert d.colorable == brute_force(Instance.path(w, lists)).colorable, lists
+                if not d.colorable:
+                    assert d.certificate.i == 0, (lists, d.certificate)
+                    refused += 1
                 checked += 1
-        assert checked > 1000
+        assert checked > 1000 and refused > 100
 
 
 class TestConstructColoringWaterfall:
