@@ -40,7 +40,7 @@ from .model import (
     validate_coloring,
 )
 from .oracle import SearchBudget, brute_force, brute_force_forced
-from .waterfall import to_waterfall
+from .waterfall import ColorRename, to_waterfall
 
 
 class ParseError(InvalidInputError):
@@ -220,6 +220,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0 if decision.colorable else 1
 
 
+def _renames_doc(renames: tuple[ColorRename, ...]) -> list[dict[str, int]]:
+    return [{"old": r.old, "new": r.new, "start": r.start, "end": r.end} for r in renames]
+
+
 def cmd_waterfall(args: argparse.Namespace) -> int:
     obj = parse_instance(_read(args.file))
     if isinstance(obj, FreeChoiceInstance) or obj.topology is not Topology.PATH:
@@ -228,15 +232,9 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
     doc = {
         "lists": [sorted(entry) for entry in transformed],
         "report": {
-            "run_renames": [
-                {"old": r.old, "new": r.new, "start": r.start, "end": r.end}
-                for r in report.run_renames
-            ],
+            "run_renames": _renames_doc(report.run_renames),
             "relabel_map": sorted([old, new] for old, new in report.relabel_map.items()),
-            "replacements": [
-                {"old": r.old, "new": r.new, "start": r.start, "end": r.end}
-                for r in report.replacements
-            ],
+            "replacements": _renames_doc(report.replacements),
             "fresh_colors": sorted(report.fresh_colors),
             "iterations": report.iterations,
         },
@@ -336,11 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one stable line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore" if args.quiet else "default")
+            warnings.showwarning = _show_warning
             return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ The transform works in three recorded stages:
    agrees with the lexicographic order of their occupancy intervals;
 3. the replace loop: while some color x spans three or more vertices
    i_x..j_x, the smallest such x is replaced by a fresh color on vertices
-   i_x+2..j_x.
+   i_x+2..j_x.  After stage 2 this is the paper's rule run as a queue: long
+   colors wait in span order, and a fresh color still spanning three or
+   more vertices joins at the back.
 
 Each stage preserves per-vertex list sizes and colorability in both
 directions, stage 3 thanks to the good-list bound.  ``TransformReport``
@@ -23,6 +25,7 @@ with the input's amplitude.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -176,39 +179,32 @@ def to_waterfall(
 
     norm, norm_report = normalize_runs(L)
 
-    # Relabel so numeric label order matches span order.  The permutation
-    # acts on the normalized list, so freshly issued run labels take part.
-    spans = {s.color: (s.first, s.last) for s in color_spans(norm)}
-    by_value = sorted(spans)
-    by_span = sorted(spans, key=lambda x: (spans[x][0], spans[x][1], x))
-    relabel = {old: new for old, new in zip(by_span, by_value) if old != new}
-    if relabel:
-        work = [{relabel.get(x, x) for x in colors} for colors in norm]
-        spans = {relabel.get(x, x): span for x, span in spans.items()}
-    else:
-        work = [set(colors) for colors in norm]
+    # Relabel so numeric label order matches span order: the k-th span in
+    # (first, last, color) order takes the k-th smallest label.  The
+    # permutation acts on the normalized list, so fresh run labels take part.
+    spans = color_spans(norm)
+    labels = sorted(s.color for s in spans)
+    relabel = {s.color: new for s, new in zip(spans, labels) if s.color != new}
+    work = [{relabel.get(x, x) for x in colors} for colors in norm]
 
+    # Labels now follow span order and each fresh label exceeds every label
+    # before it, so first in, first out is the order of "smallest long x".
+    queue = deque(
+        (new, s.first, s.last) for s, new in zip(spans, labels) if s.last - s.first >= 2
+    )
     fresh = _next_fresh(norm)
     replacements = []
-    while True:
-        long = [x for x, (first, last) in spans.items() if last - first >= 2]
-        if not long:
-            break
-        x = min(long)
-        first, last = spans[x]
+    while queue:
+        x, first, last = queue.popleft()
         replacements.append(ColorRename(x, fresh, first + 2, last))
-        for v in range(first + 2, last + 1):
-            work[v].discard(x)
-            work[v].add(fresh)
-        spans[x] = (first, first + 1)
-        spans[fresh] = (first + 2, last)
+        _rename(work, x, fresh, first + 2, last)
+        if last - first >= 4:
+            queue.append((fresh, first + 2, last))
         fresh += 1
 
     result = tuple(frozenset(colors) for colors in work)
     if not is_waterfall(result):
         raise InternalInvariantError("transform produced a non-waterfall list")
-    if [len(s) for s in result] != [len(s) for s in L]:
-        raise InternalInvariantError("transform changed a list size")
     return result, TransformReport(
         run_renames=norm_report.run_renames,
         relabel_map=relabel,
@@ -217,11 +213,12 @@ def to_waterfall(
     )
 
 
-def _apply_rename(lists: list[set[int]], ev: ColorRename) -> None:
-    for v in range(ev.start, ev.end + 1):
-        if ev.old in lists[v]:
-            lists[v].discard(ev.old)
-            lists[v].add(ev.new)
+def _rename(lists: list[set[int]], old: int, new: int, start: int, end: int) -> None:
+    """Replace ``old`` by ``new`` in the lists of vertices ``start..end``."""
+    for v in range(start, end + 1):
+        if old in lists[v]:
+            lists[v].discard(old)
+            lists[v].add(new)
 
 
 def pull_back_coloring(
@@ -232,44 +229,42 @@ def pull_back_coloring(
 ) -> Coloring:
     """Turn a coloring of the transformed list into one of the original list.
 
-    Replacement events are undone in reverse order.  Undoing the event that
-    traded color x for fresh color y on vertices i_x+2..j_x renames y back
-    to x, except when x sits at vertex i_x+1 and y at vertex i_x+2 at the
-    same time; then a swap color z is taken from L'(i_x+1) outside the three
-    touched color sets, or failing that from what vertex i_x uses and vertex
-    i_x+2 does not, and the three-way exchange restores properness.  The
-    second swap color always exists for good lists; running out of candidates
-    therefore raises ``InternalInvariantError``.
+    The forward transform is replayed on one working list, and the
+    replacement events are then undone in place, last first, on that list
+    and on the coloring together.  Undoing the event that traded color x
+    for fresh color y on vertices i_x+2..j_x renames y back to x, except
+    when x sits at vertex i_x+1 and y at vertex i_x+2 at the same time; then
+    a swap color z is taken from L'(i_x+1), the working list at that moment,
+    outside the three touched color sets, or failing that from what vertex
+    i_x uses and vertex i_x+2 does not, and the three-way exchange restores
+    properness.  The second swap color always exists for good lists;
+    running out of candidates therefore raises ``InternalInvariantError``.
     """
     L0 = as_lists(original_lists)
     w = as_weights(weights)
 
-    # Replay the forward transform to recover intermediate list states.
     work = [set(colors) for colors in L0]
     for ev in report.run_renames:
-        _apply_rename(work, ev)
-    if report.relabel_map:
-        work = [{report.relabel_map.get(x, x) for x in colors} for colors in work]
-    states = [tuple(frozenset(colors) for colors in work)]
+        _rename(work, ev.old, ev.new, ev.start, ev.end)
+    work = [{report.relabel_map.get(x, x) for x in colors} for colors in work]
     for ev in report.replacements:
-        _apply_rename(work, ev)
-        states.append(tuple(frozenset(colors) for colors in work))
+        _rename(work, ev.old, ev.new, ev.start, ev.end)
 
-    final = Instance.path(w, states[-1])
+    final = Instance.path(w, tuple(frozenset(colors) for colors in work))
     c = [set(entry) for entry in c_waterfall]
     if not validate_coloring(final, c):
         raise InvalidInputError("coloring is not valid for the transformed list")
 
-    for ev, after in zip(reversed(report.replacements), reversed(states[1:])):
+    for ev in reversed(report.replacements):
         x, y = ev.old, ev.new
         ix = ev.start - 2
         if x in c[ix + 1] and y in c[ix + 2]:
             blocked = c[ix] | c[ix + 1] | c[ix + 2]
-            candidates = sorted(after[ix + 1] - blocked)
+            candidates = sorted(work[ix + 1] - blocked)
             if candidates:
                 z = candidates[0]
             else:
-                candidates = sorted((c[ix] - c[ix + 2]) & after[ix + 1])
+                candidates = sorted((c[ix] - c[ix + 2]) & work[ix + 1])
                 if not candidates:
                     raise InternalInvariantError(
                         f"no swap color at vertex {ix + 1} while undoing "
@@ -280,19 +275,13 @@ def pull_back_coloring(
                 c[ix].add(x)
             c[ix + 1].discard(x)
             c[ix + 1].add(z)
-        for v in range(ev.start, ev.end + 1):
-            if y in c[v]:
-                c[v].discard(y)
-                c[v].add(x)
+        _rename(c, y, x, ev.start, ev.end)
+        _rename(work, y, x, ev.start, ev.end)
 
-    if report.relabel_map:
-        inverse = {new: old for old, new in report.relabel_map.items()}
-        c = [{inverse.get(x, x) for x in entry} for entry in c]
+    inverse = {new: old for old, new in report.relabel_map.items()}
+    c = [{inverse.get(x, x) for x in entry} for entry in c]
     for ev in reversed(report.run_renames):
-        for v in range(ev.start, ev.end + 1):
-            if ev.new in c[v]:
-                c[v].discard(ev.new)
-                c[v].add(ev.old)
+        _rename(c, ev.new, ev.old, ev.start, ev.end)
 
     result = tuple(frozenset(entry) for entry in c)
     if not validate_coloring(Instance.path(w, L0), result):

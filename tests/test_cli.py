@@ -207,6 +207,22 @@ class TestMain:
             '"start": 7, "end": 7}], "fresh_colors": [8, 9, 10, 11], "iterations": 2}}\n'
         )
 
+    def test_waterfall_golden_queue_order(self, tmp_path, capsys):
+        # fresh color 10 is long again and is replaced after original 3,
+        # so a fresh label re-enters the replace loop; bytes pinned
+        doc = (
+            '{"graph":"path","weights":[1,1,1,1,1,1],'
+            '"lists":[[1,9],[1,2],[1,2],[1,2],[1,2],[1,3]]}'
+        )
+        assert main(["waterfall", self._doc(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out == (
+            '{"lists": [[1, 2], [2, 3], [3, 10], [10, 11], [11, 12], [9, 12]], '
+            '"report": {"run_renames": [], "relabel_map": [[1, 2], [2, 3], [3, 9], '
+            '[9, 1]], "replacements": [{"old": 2, "new": 10, "start": 2, "end": 5}, '
+            '{"old": 3, "new": 11, "start": 3, "end": 4}, {"old": 10, "new": 12, '
+            '"start": 4, "end": 5}], "fresh_colors": [10, 11, 12], "iterations": 3}}\n'
+        )
+
     def test_waterfall_rejects_non_good(self, tmp_path, capsys):
         doc = '{"graph":"path","weights":[1,1,1],"lists":[[1,2,3],[1],[1,2,3]]}'
         assert main(["waterfall", self._doc(tmp_path, doc)]) == 2
@@ -262,6 +278,13 @@ class TestMain:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "invalid input: colors must be non-negative integers, got -1\n"
+
+    def test_warning_is_one_stable_line(self, tmp_path, capsys):
+        doc = self._doc(tmp_path, '{"graph":"path","weights":[1],"lists":[[1,1]]}')
+        assert main(["decide", doc]) == 0
+        out, err = capsys.readouterr()
+        assert out == '{"colorable": true, "coloring": [[1]]}\n'
+        assert err == "warning: duplicate colors removed from list 0\n"
 
     def test_quiet_suppresses_warnings(self, tmp_path, capsys, recwarn):
         doc = self._doc(tmp_path, '{"graph":"path","weights":[1],"lists":[[1,1]]}')

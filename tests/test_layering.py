@@ -1,8 +1,9 @@
 """Import boundaries between the package's modules, read from their source.
 
 The brute-force oracle is ground truth for the interval machinery, so it
-must not use it; and the Hall deciders must not lean on the waterfall
-transform, which is kept as a checked artifact of the paper.
+must not use it; and the Hall deciders and the cycle reduction, which make
+up ``decide``, must not lean on the waterfall transform, which is kept as a
+checked artifact of the paper.
 """
 
 import ast
@@ -39,10 +40,12 @@ def test_oracle_stays_off_the_interval_machinery():
 
 
 def test_hall_does_not_import_waterfall():
-    assert "waterfall" not in imported_modules("hall")
+    for name in ("hall", "cycles"):
+        assert "waterfall" not in imported_modules(name), name
 
 
 def test_imports_are_seen():
     # the checks above pass vacuously if the parser misses imports
     assert {"model", "cycles"} <= imported_modules("oracle")
     assert "model" in imported_modules("hall")
+    assert {"hall", "model"} <= imported_modules("cycles")

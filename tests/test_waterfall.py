@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from choosable import (
     amplitude,
     brute_force,
     color_spans,
+    decide_waterfall,
     is_good,
     is_waterfall,
     normalize_runs,
@@ -19,7 +21,7 @@ from choosable import (
     to_waterfall,
     validate_coloring,
 )
-from helpers import L, weight_vectors
+from helpers import L, planted_good_path, weight_vectors
 
 
 class TestNormalizeRuns:
@@ -224,18 +226,37 @@ class TestPullBack:
 
     def test_every_waterfall_coloring_pulls_back(self):
         # enumerate every coloring of the transformed list, not only the
-        # oracle's first one, and pull each back
-        lists = L({1, 2}, {1, 2, 3}, {2, 3}, {3, 4})
-        w = (1, 1, 1, 1)
+        # oracle's first one, and pull each back; the second list makes a
+        # fresh color long again, so events nest
+        for lists in (
+            L({1, 2}, {1, 2, 3}, {2, 3}, {3, 4}),
+            L({1, 9}, {1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 3}),
+        ):
+            w = (1,) * len(lists)
+            out, report = to_waterfall(lists, w)
+            inst = Instance.path(w, out)
+            original = Instance.path(w, lists)
+            count = 0
+            for combo in itertools.product(*[sorted(s) for s in out]):
+                coloring = tuple(frozenset({c}) for c in combo)
+                if not validate_coloring(inst, coloring):
+                    continue
+                back = pull_back_coloring(report, coloring, lists, w)
+                assert validate_coloring(original, back)
+                count += 1
+            assert count > 0
+
+    def test_long_round_trip_memory(self):
+        # the pull-back keeps one working list, not a copy per replacement
+        w, lists = planted_good_path(3, 3000)
         out, report = to_waterfall(lists, w)
-        inst = Instance.path(w, out)
-        original = Instance.path(w, lists)
-        count = 0
-        for combo in itertools.product(*[sorted(s) for s in out]):
-            coloring = tuple(frozenset({c}) for c in combo)
-            if not validate_coloring(inst, coloring):
-                continue
-            back = pull_back_coloring(report, coloring, lists, w)
-            assert validate_coloring(original, back)
-            count += 1
-        assert count > 0
+        decision = decide_waterfall(out, w)
+        assert decision.colorable
+        tracemalloc.start()
+        try:
+            back = pull_back_coloring(report, decision.coloring, lists, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert validate_coloring(Instance.path(w, lists), back)
+        assert peak < 64 * 2**20
