@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hall import hall_check_path
+from .hall import _decide
 from .model import (
     Decision,
     Instance,
@@ -24,6 +24,7 @@ from .model import (
     PreconditionError,
     Rational,
     Topology,
+    as_lists,
 )
 
 
@@ -64,6 +65,7 @@ class FreeChoiceInstance:
             )
         if not self.forced <= self.cycle.lists[self.v0]:
             raise InvalidInputError("forced colors must come from the list at v0")
+        as_lists((self.forced,))  # True equals 1, so it passes the subset test
 
 
 def even_ceil(x: Rational | int) -> int:
@@ -132,14 +134,13 @@ def cycle_to_path(fi: FreeChoiceInstance) -> Instance:
 def solve_free_choice(fi: FreeChoiceInstance) -> Decision:
     """Decide whether the forced choice extends to a coloring of the cycle.
 
-    Runs the path reduction through ``hall_check_path``; on success the alias
-    vertex is dropped and the path coloring rotated back onto the cycle, on
-    failure the path certificate is returned as is.  Both path ends carry
-    exactly the forced set, so a proper path coloring is a proper cycle
-    coloring that keeps the pin; ``hall_check_path`` has validated it.
+    Decides the path reduction by the route of ``hall_check_path``; on
+    success the alias vertex is dropped and the path coloring rotated back
+    onto the cycle, on failure the path certificate is returned as is.  Both
+    path ends carry exactly the forced set, so a proper path coloring is a
+    proper cycle coloring that keeps the pin; that route has validated it.
     """
-    path = cycle_to_path(fi)
-    decision = hall_check_path(path.lists, path.weights)
+    decision = _decide(cycle_to_path(fi))
     if not decision.colorable:
         return decision
     n = fi.cycle.n_vertices

@@ -32,10 +32,8 @@ from .model import (
     NotWaterfallError,
     PreconditionError,
     Weights,
-    amplitude,
+    _is_waterfall,
     as_lists,
-    checked_path,
-    is_waterfall,
     validate_coloring,
 )
 
@@ -56,34 +54,37 @@ def alpha_path(lists: Iterable[Iterable[int]], i: int, j: int, k: int) -> int:
     sum of ``ceil(run_length / 2)`` over the maximal runs of consecutive
     vertices carrying ``k``.
     """
-    L = as_lists(lists)
-    if not 0 <= i <= j < len(L):
-        raise InvalidInputError(f"interval ({i}, {j}) out of range for {len(L)} vertices")
-    total = 0
-    run = 0
-    for v in range(i, j + 1):
-        if k in L[v]:
-            run += 1
-        else:
-            total += (run + 1) // 2
-            run = 0
-    return total + (run + 1) // 2
+    return _alphas(as_lists(lists), i, j).get(k, 0)
 
 
 def hall_summands(lists: Iterable[Iterable[int]], i: int, j: int) -> tuple[HallSummand, ...]:
     """Per-color alpha contributions for the subpath ``i..j``, sorted by color."""
-    L = as_lists(lists)
-    return tuple(
-        HallSummand(k, (i, j), alpha_path(L, i, j, k))
-        for k in sorted(amplitude(L, i, j))
-    )
+    alpha = _alphas(as_lists(lists), i, j)
+    return tuple(HallSummand(k, (i, j), alpha[k]) for k in sorted(alpha))
 
 
-def _checked_waterfall(lists, weights) -> tuple[ListAssignment, Weights]:
-    L, w = checked_path(lists, weights)
-    if not is_waterfall(L):
+def _alphas(L: ListAssignment, i: int, j: int) -> dict[int, int]:
+    """Alpha of every color of the amplitude of ``i..j``, in one pass.
+
+    A run grown to odd length r adds one more unit: ceil(r / 2) in all.
+    """
+    if not 0 <= i <= j < len(L):
+        raise InvalidInputError(f"interval ({i}, {j}) out of range for {len(L)} vertices")
+    alpha: dict[int, int] = {}
+    run: dict[int, int] = {}
+    for v in range(i, j + 1):
+        run = {k: run.get(k, 0) + 1 for k in L[v]}
+        for k, r in run.items():
+            if r & 1:
+                alpha[k] = alpha.get(k, 0) + 1
+    return alpha
+
+
+def _checked_waterfall(lists, weights) -> Instance:
+    inst = Instance.path(weights, lists)
+    if not _is_waterfall(inst.lists):
         raise NotWaterfallError("lists at distance two or more share a color")
-    return L, w
+    return inst
 
 
 def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> Decision:
@@ -93,15 +94,17 @@ def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> D
     short, the interval scan supplies the certificate: the lexicographically
     smallest violating interval together with its alpha sum and demand.
     """
-    return _decide(*checked_path(lists, weights))
+    return _decide(Instance.path(weights, lists))
 
 
-def _decide(L: ListAssignment, w: Weights) -> Decision:
+def _decide(inst: Instance) -> Decision:
     """The greedy's coloring, or the scan's certificate when it runs short."""
-    coloring = _greedy(L, w)
+    coloring = _greedy(inst.lists, inst.weights)
     if coloring is not None:
-        return Decision(True, coloring=_validated(L, w, coloring))
-    certificate = _hall_scan(L, w)
+        if not validate_coloring(inst, coloring):
+            raise InternalInvariantError("the greedy's coloring is not proper")
+        return Decision(True, coloring=coloring)
+    certificate = _hall_scan(inst.lists, inst.weights)
     if certificate is None:
         raise InternalInvariantError("the greedy ran short on lists that pass Hall's condition")
     return Decision(False, certificate=certificate)
@@ -143,7 +146,7 @@ def decide_waterfall(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> 
     route of ``hall_check_path``, so a certificate counts the amplitude of
     the first violated interval.
     """
-    return _decide(*_checked_waterfall(lists, weights))
+    return _decide(_checked_waterfall(lists, weights))
 
 
 def decide_waterfall_prefix(
@@ -158,7 +161,8 @@ def decide_waterfall_prefix(
     "no" always starts at vertex 0.  Once the hypotheses are checked, the
     list is decided by the route of ``hall_check_path``.
     """
-    L, w = _checked_waterfall(lists, weights)
+    inst = _checked_waterfall(lists, weights)
+    L, w = inst.lists, inst.weights
     m = len(L)
     for i in range(1, m - 1):
         if len(L[i]) < w[i] + w[i + 1]:
@@ -170,7 +174,7 @@ def decide_waterfall_prefix(
         raise PreconditionError(
             f"last vertex has |L({m - 1})| = {len(L[m - 1])} < w({m - 1}) = {w[m - 1]}"
         )
-    return _decide(L, w)
+    return _decide(inst)
 
 
 def _greedy(L: ListAssignment, w: Weights) -> Coloring | None:
@@ -219,23 +223,25 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | None:
     return tuple(out)
 
 
-def _validated(L: ListAssignment, w: Weights, coloring: Coloring | None) -> Coloring:
-    if coloring is None or not validate_coloring(Instance.path(w, L), coloring):
-        raise InternalInvariantError("no valid greedy coloring of lists that pass the checks")
-    return coloring
-
-
 def construct_coloring_waterfall(
     lists: Iterable[Iterable[int]], weights: Iterable[int]
 ) -> Coloring:
-    """Build a coloring of a waterfall list that ``decide_waterfall`` accepts."""
-    L, w = _checked_waterfall(lists, weights)
-    return _validated(L, w, _greedy(L, w))
+    """The coloring ``decide_waterfall`` finds, or ``PreconditionError`` if none."""
+    return _coloring(decide_waterfall(lists, weights))
 
 
 def construct_coloring_general(
     lists: Iterable[Iterable[int]], weights: Iterable[int]
 ) -> Coloring:
-    """Build a coloring of a path instance that satisfies Hall's condition."""
-    L, w = checked_path(lists, weights)
-    return _validated(L, w, _greedy(L, w))
+    """The coloring ``hall_check_path`` finds, or ``PreconditionError`` if none."""
+    return _coloring(hall_check_path(lists, weights))
+
+
+def _coloring(decision: Decision) -> Coloring:
+    if not decision.colorable:
+        cert = decision.certificate
+        raise PreconditionError(
+            f"not colorable: vertices {cert.i}..{cert.j} demand {cert.demand} colors "
+            f"and their Hall sum is {cert.amplitude_size}"
+        )
+    return decision.coloring

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 Color = int
 ListAssignment = tuple[frozenset[int], ...]
@@ -72,11 +72,8 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
     """Coerce per-vertex color collections into a tuple of frozensets.
 
     Duplicate colors within one entry collapse silently; lists are sets.
-    A tuple of frozensets passes through unchanged, so chained operations
-    do not re-validate each other's output.
+    Every color must be a non-negative integer, whatever the input's type.
     """
-    if type(lists) is tuple and all(type(entry) is frozenset for entry in lists):
-        return lists
     out = []
     for entry in lists:
         colors = frozenset(entry)
@@ -90,8 +87,6 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
 
 
 def as_weights(weights: Iterable[int]) -> Weights:
-    if type(weights) is tuple and all(type(wv) is int and wv >= 0 for wv in weights):
-        return weights
     out = tuple(weights)
     for wv in out:
         if not isinstance(wv, int) or isinstance(wv, bool) or wv < 0:
@@ -99,22 +94,15 @@ def as_weights(weights: Iterable[int]) -> Weights:
     return out
 
 
-def checked_path(
-    lists: Iterable[Iterable[int]], weights: Iterable[int]
-) -> tuple[ListAssignment, Weights]:
-    """Coerce the lists and weights of a path and check that they fit together."""
-    L = as_lists(lists)
-    w = as_weights(weights)
-    if len(L) != len(w):
-        raise InvalidInputError(f"{len(w)} weights for {len(L)} lists")
-    if len(L) == 0:
-        raise InvalidInputError("at least one vertex required")
-    return L, w
-
-
 @dataclass(frozen=True)
 class Instance:
-    """A weighted path or cycle together with its list assignment."""
+    """A weighted path or cycle together with its list assignment.
+
+    Construction is where input gets checked: a public operation coerces
+    its lists and weights once, through here (or ``as_lists`` and
+    ``as_weights`` where no instance is involved), and hands the checked
+    tuples inward.
+    """
 
     topology: Topology
     weights: Weights
@@ -193,15 +181,18 @@ def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool
     and the endpoints of every edge (wrap edge included) receive disjoint
     sets.  A coloring with the wrong number of entries is rejected outright.
     """
+    return _proper(inst.lists, inst.weights, coloring, inst.edges())
+
+
+def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> bool:
+    """``validate_coloring`` on lists and weights already checked."""
     c = tuple(frozenset(entry) for entry in coloring)
-    if len(c) != inst.n_vertices:
-        raise InvalidInputError(
-            f"coloring has {len(c)} entries for {inst.n_vertices} vertices"
-        )
-    for v in range(inst.n_vertices):
-        if len(c[v]) != inst.weights[v] or not c[v] <= inst.lists[v]:
+    if len(c) != len(L):
+        raise InvalidInputError(f"coloring has {len(c)} entries for {len(L)} vertices")
+    for v in range(len(L)):
+        if len(c[v]) != w[v] or not c[v] <= L[v]:
             return False
-    return all(not (c[u] & c[v]) for u, v in inst.edges())
+    return all(not (c[u] & c[v]) for u, v in edges)
 
 
 def amplitude(lists: Iterable[Iterable[int]], i: int, j: int) -> frozenset[int]:
@@ -222,13 +213,21 @@ def is_good(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> bool:
     w = as_weights(weights)
     if len(L) != len(w):
         raise InvalidInputError(f"{len(w)} weights for {len(L)} lists")
+    return _is_good(L, w)
+
+
+def _is_good(L: ListAssignment, w: Weights) -> bool:
     return all(len(L[i]) >= w[i] + w[i + 1] for i in range(1, len(L) - 1))
 
 
 def is_waterfall(lists: Iterable[Iterable[int]]) -> bool:
     """Whether each color occupies at most two, necessarily consecutive, vertices."""
+    return _is_waterfall(as_lists(lists))
+
+
+def _is_waterfall(L: ListAssignment) -> bool:
     spans: dict[int, tuple[int, int]] = {}
-    for v, colors in enumerate(as_lists(lists)):
+    for v, colors in enumerate(L):
         for x in colors:
             span = spans.get(x)
             if span is None:

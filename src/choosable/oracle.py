@@ -1,8 +1,9 @@
 """Ground-truth exhaustive solver for small instances.
 
-Plain depth-first enumeration, vertices in index order, candidate subsets of
-each list in lexicographic order, pruning only on adjacent disjointness (the
-wrap edge of a cycle is checked at the last vertex).  Deliberately
+Plain depth-first enumeration, vertices in index order from vertex 0, or
+from the pinned vertex around the cycle, candidate subsets of each list in
+lexicographic order, pruning only on adjacent disjointness (the wrap edge of
+a cycle is checked at the last vertex visited, against the first).  Deliberately
 independent of the interval machinery so the two routes can check each
 other.  A node budget turns runaway searches into an explicit error rather
 than a silent wrong answer.
@@ -48,7 +49,10 @@ def brute_force(inst: Instance, budget: SearchBudget | None = None) -> Decision:
 def brute_force_forced(
     fi: FreeChoiceInstance, budget: SearchBudget | None = None
 ) -> Decision:
-    """Exhaustive search with the color set of v0 pinned to the forced set."""
+    """Exhaustive search with the color set of v0 pinned to the forced set.
+
+    The search starts at v0, so the wrap edge, checked last, meets the pin.
+    """
     return _search(fi.cycle, (fi.v0, fi.forced), budget or SearchBudget())
 
 
@@ -56,12 +60,14 @@ def _search(
     inst: Instance, pinned: tuple[int, frozenset[int]] | None, budget: SearchBudget
 ) -> Decision:
     m = inst.n_vertices
+    start = pinned[0] if pinned is not None else 0
 
-    # color sets as bitmasks, one bit per color in play whatever its value
+    # color sets as bitmasks, one bit per color in play whatever its value;
+    # candidates, chosen and masks are indexed by position in visiting order
     bit = {c: 1 << k for k, c in enumerate(frozenset().union(*inst.lists))}
     candidates = []
-    for v in range(m):
-        if pinned is not None and v == pinned[0]:
+    for v in (*range(start, m), *range(start)):
+        if pinned is not None and v == start:
             combos = [tuple(sorted(pinned[1]))]
         else:
             combos = itertools.combinations(sorted(inst.lists[v]), inst.weights[v])
@@ -100,7 +106,8 @@ def _search(
             stack.pop()
             continue
         if last:
-            return Decision(True, coloring=tuple(frozenset(c) for c in chosen))
+            coloring = tuple(frozenset(chosen[(u - start) % m]) for u in range(m))
+            return Decision(True, coloring=coloring)
         stack.append(iter(candidates[v + 1]))
     summary = Certificate(0, m - 1, len(bit), sum(inst.weights))
     return Decision(False, certificate=summary)

@@ -6,7 +6,6 @@ import pytest
 from choosable import (
     Certificate,
     Instance,
-    InternalInvariantError,
     InvalidInputError,
     NotWaterfallError,
     PreconditionError,
@@ -249,8 +248,9 @@ class TestConstructColoringWaterfall:
             L({1, 2}, {2, 3}, {3, 4}), (2, 0, 2)
         ) == L({1, 2}, set(), {3, 4})
 
-    def test_exhausted_search_is_internal_error(self):
-        with pytest.raises(InternalInvariantError):
+    def test_uncolorable_path_is_precondition_error(self):
+        # bad input, not a bug: the message names decide_waterfall's interval
+        with pytest.raises(PreconditionError, match=r"vertices 0\.\.1 demand 2 colors"):
             construct_coloring_waterfall(L({1}, {1}), (1, 1))
 
     def test_backtracking_rescues_greedy_dead_ends(self):
@@ -278,8 +278,8 @@ class TestConstructColoringGeneral:
     def test_disjoint_singletons(self):
         assert construct_coloring_general(L({5}, {7}), (1, 1)) == L({5}, {7})
 
-    def test_exhausted_search_is_internal_error(self):
-        with pytest.raises(InternalInvariantError):
+    def test_uncolorable_path_is_precondition_error(self):
+        with pytest.raises(PreconditionError, match=r"Hall sum is 1"):
             construct_coloring_general(L({1}, {1}, {2, 3}), (1, 1, 1))
 
 

@@ -114,6 +114,23 @@ class TestBruteForceForced:
         d = brute_force_forced(fi)
         assert d.colorable and d.coloring[0] == {1, 2}
 
+    def test_search_starts_at_the_pinned_vertex(self):
+        # an acceptance-test C8 shape, (a, b, n) = (7, 3, 6), pinned at vertex
+        # 5: searched from vertex 0, the pin and the wrap edge were met only
+        # at the end, after tens of thousands of nodes
+        lists = L(
+            {0, 1, 2, 3, 7, 9, 11},
+            {0, 1, 5, 6, 8, 9, 11},
+            {0, 1, 4, 5, 8, 9, 10},
+            {2, 4, 5, 7, 9, 10, 11},
+            {2, 3, 5, 8, 9, 10, 12},
+            {0, 2, 4, 5, 7, 8, 12},
+        )
+        fi = FreeChoiceInstance(Instance.cycle((3,) * 6, lists), 5, frozenset({2, 8, 12}))
+        d = brute_force_forced(fi, SearchBudget(max_nodes=1000))
+        assert d.colorable and d.coloring[5] == {2, 8, 12}
+        assert validate_coloring(fi.cycle, d.coloring)
+
     def test_pin_respected_at_interior_vertex(self):
         lists = L({1, 2}, {1, 2, 3}, {2, 3, 4})
         fi = FreeChoiceInstance(Instance.cycle((1, 1, 1), lists), 1, frozenset({3}))

@@ -12,11 +12,9 @@ from choosable import (
     TransformReport,
     amplitude,
     brute_force,
-    color_spans,
     decide_waterfall,
     is_good,
     is_waterfall,
-    normalize_runs,
     pull_back_coloring,
     to_waterfall,
     validate_coloring,
@@ -24,27 +22,43 @@ from choosable import (
 from helpers import L, planted_good_path, weight_vectors
 
 
+def maximal_runs(lists):
+    """(color, first, last) of every maximal run of consecutive vertices."""
+    found, open_runs = [], {}
+    for v, colors in enumerate(list(lists) + [frozenset()]):
+        for x in list(open_runs):
+            if x not in colors:
+                found.append((x, open_runs.pop(x), v - 1))
+        for x in colors:
+            open_runs.setdefault(x, v)
+    return found
+
+
 class TestNormalizeRuns:
+    # stage 1 of to_waterfall; the weights keep each list good
+
     def test_detached_reoccurrence_gets_fresh_color(self):
-        out, report = normalize_runs(L({1}, {2}, {1}))
+        out, report = to_waterfall(L({1}, {2}, {1}), (1, 0, 1))
         assert out == L({1}, {2}, {3})
         assert report.run_renames == (ColorRename(1, 3, 2, 2),)
         assert report.fresh_colors == {3}
 
     def test_consecutive_runs_untouched(self):
-        lists = L({1, 2}, {2, 3}, {3, 4})
-        out, report = normalize_runs(lists)
-        assert out == lists
-        assert report == TransformReport()
+        # one long run: stage 3 shortens it, stage 1 has nothing to rename
+        out, report = to_waterfall(L({1}, {1}, {1}), (0, 0, 0))
+        assert out == L({1}, {1}, {2})
+        assert report.run_renames == ()
+        assert report.replacements == (ColorRename(1, 2, 2, 2),)
 
     def test_run_of_two_then_gap(self):
-        out, _ = normalize_runs(L({1}, {1}, {2}, {1}))
+        out, report = to_waterfall(L({1}, {1}, {2}, {1}), (1, 0, 1, 0))
         assert out == L({1}, {1}, {2}, {3})
+        assert report.run_renames == (ColorRename(1, 3, 3, 3),)
+        assert report.relabel_map == {} and report.replacements == ()
 
     def test_similarity_on_examples(self):
-        for lists in [L({1}, {2}, {1}), L({1}, {1}, {2}, {1})]:
-            out, _ = normalize_runs(lists)
-            w = (1,) * len(lists)
+        for lists, w in [(L({1}, {2}, {1}), (1, 0, 1)), (L({1}, {1}, {2}, {1}), (1, 0, 1, 0))]:
+            out, _ = to_waterfall(lists, w)
             assert (
                 brute_force(Instance.path(w, lists)).colorable
                 == brute_force(Instance.path(w, out)).colorable
@@ -57,11 +71,9 @@ class TestNormalizeRuns:
             lists = tuple(
                 frozenset(rng.sample(range(5), rng.randint(0, 3))) for _ in range(m)
             )
-            out, report = normalize_runs(lists)
-            spans = color_spans(out)
-            for span in spans:
-                for v in range(span.first, span.last + 1):
-                    assert span.color in out[v]
+            out, report = to_waterfall(lists, (0,) * m)
+            colors = [x for x, _, _ in maximal_runs(out)]
+            assert len(colors) == len(set(colors))
             assert [len(s) for s in out] == [len(s) for s in lists]
             assert not report.fresh_colors & amplitude(lists, 0, m - 1)
 
@@ -126,8 +138,8 @@ class TestToWaterfall:
             w = tuple(rng.randint(0, 2) for _ in range(m))
             if not is_good(lists, w):
                 continue
-            norm, _ = normalize_runs(lists)
-            measure = sum(max(0, s.last - s.first - 1) for s in color_spans(norm))
+            # stage 1 turns every maximal run into one color's span
+            measure = sum(max(0, last - first - 1) for _, first, last in maximal_runs(lists))
             _, report = to_waterfall(lists, w)
             assert report.iterations <= measure
 
