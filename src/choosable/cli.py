@@ -7,6 +7,9 @@ Instance documents look like::
      "lists": [[1, 2, 3, 4], [1, 2, 3, 4], [3, 4, 5, 6], [1, 2, 5, 6]],
      "forced": {"vertex": 0, "colors": [1, 2]}}
 
+A pinned-cycle certificate from ``decide`` indexes the path cut at the pinned
+vertex v0: path vertex p is cycle vertex (v0 + p) mod n, and n is v0 again.
+
 Exit codes: 0 colorable (or valid, or true), 1 not colorable (invalid,
 false), 2 input error, 3 internal error: a violated invariant or any other
 bug.  Identical inputs produce byte-identical output.
@@ -71,7 +74,10 @@ def _int_value(value: Any, field: str) -> int:
 def _int_array(values: Any, field: str) -> list[int]:
     if not isinstance(values, list):
         raise ParseError(f'field "{field}" must be an array')
-    return [_int_value(v, f"{field}[{k}]") for k, v in enumerate(values)]
+    for k, v in enumerate(values):
+        if type(v) is not int:  # names the field only for a value that may fail
+            _int_value(v, f"{field}[{k}]")
+    return values
 
 
 def parse_instance(text: str | bytes) -> Instance | FreeChoiceInstance:
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_free_choosable)
 
-    p = sub.add_parser("counterexample", help="emit the even-cycle counterexample instance")
+    p = sub.add_parser("counterexample", help="emit a counterexample cycle instance")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

@@ -13,7 +13,6 @@ All ratio comparisons are exact integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hall import _decide
@@ -24,48 +23,50 @@ from .model import (
     PreconditionError,
     Rational,
     Topology,
+    _Record,
+    _set,
     as_lists,
 )
 
 
-@dataclass(frozen=True)
-class ChoiceParameters:
+class ChoiceParameters(_Record):
     """Uniform list size ``a`` and per-vertex demand ``b``; ``e = a - 2b``."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int) -> None:
+        if a < 1 or b < 1:
             raise InvalidInputError("a and b must be positive integers")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @property
     def e(self) -> int:
         return self.a - 2 * self.b
 
 
-@dataclass(frozen=True)
-class FreeChoiceInstance:
+class FreeChoiceInstance(_Record):
     """A cycle instance with the color set of one vertex pinned in advance."""
 
-    cycle: Instance
-    v0: int
-    forced: frozenset[int]
+    __slots__ = ("cycle", "v0", "forced")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forced", frozenset(self.forced))
-        if self.cycle.topology is not Topology.CYCLE:
+    def __init__(self, cycle: Instance, v0: int, forced: frozenset[int]) -> None:
+        forced = frozenset(forced)
+        if cycle.topology is not Topology.CYCLE:
             raise InvalidInputError("free choice instances are rooted in cycles")
-        if not 0 <= self.v0 < self.cycle.n_vertices:
-            raise InvalidInputError(f"v0 = {self.v0} out of range")
-        if len(self.forced) != self.cycle.weights[self.v0]:
+        if not 0 <= v0 < cycle.n_vertices:
+            raise InvalidInputError(f"v0 = {v0} out of range")
+        if len(forced) != cycle.weights[v0]:
             raise InvalidInputError(
-                f"forced set has {len(self.forced)} colors, vertex {self.v0} "
-                f"demands {self.cycle.weights[self.v0]}"
+                f"forced set has {len(forced)} colors, vertex {v0} "
+                f"demands {cycle.weights[v0]}"
             )
-        if not self.forced <= self.cycle.lists[self.v0]:
+        if not forced <= cycle.lists[v0]:
             raise InvalidInputError("forced colors must come from the list at v0")
-        as_lists((self.forced,))  # True equals 1, so it passes the subset test
+        as_lists((forced,))  # True equals 1, so it passes the subset test
+        _set(self, "cycle", cycle)
+        _set(self, "v0", v0)
+        _set(self, "forced", forced)
 
 
 def even_ceil(x: Rational | int) -> int:
@@ -136,7 +137,8 @@ def solve_free_choice(fi: FreeChoiceInstance) -> Decision:
 
     Decides the path reduction by the route of ``hall_check_path``; on
     success the alias vertex is dropped and the path coloring rotated back
-    onto the cycle, on failure the path certificate is returned as is.  Both
+    onto the cycle, on failure the path certificate is returned as is: its
+    i..j index the cut path, whose vertex p is (v0 + p) mod n and n is v0.  Both
     path ends carry exactly the forced set, so a proper path coloring is a
     proper cycle coloring that keeps the pin; that route has validated it.
     """
@@ -151,16 +153,18 @@ def solve_free_choice(fi: FreeChoiceInstance) -> Decision:
 
 
 def counterexample_list(a: int, b: int, n: int) -> FreeChoiceInstance:
-    """Even-cycle instance witnessing that ratios below the threshold fail.
+    """Cycle instance witnessing that ratios below the threshold fail.
 
-    For even n >= 4 and a/b strictly below 2 + 1/(n/2), builds the a-lists
-    whose forced choice {1..b} at vertex 0 propagates around the cycle and
-    collides with itself, so no coloring extends it.  Requesting parameters
+    For n >= 3 and a/b strictly below 2 + 1/floor(n/2), builds a-lists whose
+    forced choice {1..b} at vertex 0 no coloring extends: for even n it
+    propagates around the cycle and collides with itself; for odd n = 2k + 1
+    every list is {1..a}, and the cycle's fractional chromatic number 2 + 1/k
+    rules out any coloring with b colors per vertex.  Requesting parameters
     at or above the threshold is an error: no counterexample exists there.
     So is a < b, where the forced set cannot come from a list of size a.
     """
-    if n < 4 or n % 2:
-        raise PreconditionError(f"counterexamples exist for even n >= 4 only, got n = {n}")
+    if n < 3:
+        raise PreconditionError(f"counterexamples exist for n >= 3 only, got n = {n}")
     if a < 1 or b < 1:
         raise PreconditionError("a and b must be positive integers")
     if a < b:
@@ -172,7 +176,7 @@ def counterexample_list(a: int, b: int, n: int) -> FreeChoiceInstance:
         )
     lists = []
     for i in range(n):
-        if i <= 1:
+        if i <= 1 or n % 2:
             colors = range(1, a + 1)
         elif i == n - 1:
             block = (n - 4) // 2

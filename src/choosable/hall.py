@@ -18,7 +18,6 @@ a violated subpath, if there is one, starts at vertex 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .model import (
@@ -33,18 +32,22 @@ from .model import (
     PreconditionError,
     Weights,
     _is_waterfall,
+    _Record,
+    _set,
     as_lists,
     validate_coloring,
 )
 
 
-@dataclass(frozen=True)
-class HallSummand:
+class HallSummand(_Record):
     """One color's contribution to the Hall sum of a subpath."""
 
-    color: int
-    subpath: tuple[int, int]
-    alpha: int
+    __slots__ = ("color", "subpath", "alpha")
+
+    def __init__(self, color: int, subpath: tuple[int, int], alpha: int) -> None:
+        _set(self, "color", color)
+        _set(self, "subpath", subpath)
+        _set(self, "alpha", alpha)
 
 
 def alpha_path(lists: Iterable[Iterable[int]], i: int, j: int, k: int) -> int:

@@ -19,7 +19,6 @@ every operation is a pure function, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -78,10 +77,12 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
     for entry in lists:
         colors = frozenset(entry)
         for color in colors:
-            if not isinstance(color, int) or isinstance(color, bool) or color < 0:
-                raise InvalidInputError(
-                    f"colors must be non-negative integers, got {color!r}"
-                )
+            # the plain-int test alone passes nearly every color
+            if type(color) is not int or color < 0:
+                if not isinstance(color, int) or isinstance(color, bool) or color < 0:
+                    raise InvalidInputError(
+                        f"colors must be non-negative integers, got {color!r}"
+                    )
         out.append(colors)
     return tuple(out)
 
@@ -94,8 +95,45 @@ def as_weights(weights: Iterable[int]) -> Weights:
     return out
 
 
-@dataclass(frozen=True)
-class Instance:
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable value whose fields are its ``__slots__``, in order.
+
+    Equal to another record of exactly its type with equal fields, hashed
+    by its fields and shown as ``Name(field=value, ...)``.  Only the
+    constructor sets fields, through ``_set``; assigning or deleting one
+    afterwards raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__} field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Instance(_Record):
     """A weighted path or cycle together with its list assignment.
 
     Construction is where input gets checked: a public operation coerces
@@ -104,13 +142,19 @@ class Instance:
     tuples inward.
     """
 
-    topology: Topology
-    weights: Weights
-    lists: ListAssignment
+    __slots__ = ("topology", "weights", "lists")
+
+    def __init__(self, topology: Topology, weights: Weights, lists: ListAssignment) -> None:
+        _set(self, "topology", topology)
+        _set(self, "weights", weights)
+        _set(self, "lists", lists)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", as_weights(self.weights))
-        object.__setattr__(self, "lists", as_lists(self.lists))
+        if not isinstance(self.topology, Topology):
+            raise InvalidInputError(f"topology must be a Topology, got {self.topology!r}")
+        _set(self, "weights", as_weights(self.weights))
+        _set(self, "lists", as_lists(self.lists))
         if len(self.weights) != len(self.lists):
             raise InvalidInputError(
                 f"{len(self.weights)} weights for {len(self.lists)} lists"
@@ -141,8 +185,7 @@ class Instance:
             yield n - 1, 0
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Interval witness for non-colorability.
 
     ``amplitude_size`` is the counting bound obtained for vertices ``i..j``
@@ -153,25 +196,33 @@ class Certificate:
     certificate over the whole instance that need not.
     """
 
-    i: int
-    j: int
-    amplitude_size: int
-    demand: int
+    __slots__ = ("i", "j", "amplitude_size", "demand")
+
+    def __init__(self, i: int, j: int, amplitude_size: int, demand: int) -> None:
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "amplitude_size", amplitude_size)
+        _set(self, "demand", demand)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(_Record):
     """Outcome of a colorability check: a coloring or a certificate."""
 
-    colorable: bool
-    coloring: Coloring | None = None
-    certificate: Certificate | None = None
+    __slots__ = ("colorable", "coloring", "certificate")
 
-    def __post_init__(self) -> None:
-        if self.colorable and (self.coloring is None or self.certificate is not None):
+    def __init__(
+        self,
+        colorable: bool,
+        coloring: Coloring | None = None,
+        certificate: Certificate | None = None,
+    ) -> None:
+        if colorable and (coloring is None or certificate is not None):
             raise InvalidInputError("a colorable decision carries exactly a coloring")
-        if not self.colorable and (self.certificate is None or self.coloring is not None):
+        if not colorable and (certificate is None or coloring is not None):
             raise InvalidInputError("a non-colorable decision carries exactly a certificate")
+        _set(self, "colorable", colorable)
+        _set(self, "coloring", coloring)
+        _set(self, "certificate", certificate)
 
 
 def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool:

@@ -12,7 +12,6 @@ than a silent wrong answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cycles import FreeChoiceInstance
 from .model import (
@@ -22,18 +21,20 @@ from .model import (
     Instance,
     InvalidInputError,
     Topology,
+    _Record,
+    _set,
 )
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Cap on attempted assignments across the whole search."""
 
-    max_nodes: int = 10_000_000
+    __slots__ = ("max_nodes",)
 
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1:
+    def __init__(self, max_nodes: int = 10_000_000) -> None:
+        if max_nodes < 1:
             raise InvalidInputError("max_nodes must be positive")
+        _set(self, "max_nodes", max_nodes)
 
 
 def brute_force(inst: Instance, budget: SearchBudget | None = None) -> Decision:

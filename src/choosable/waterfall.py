@@ -28,7 +28,6 @@ with the input's amplitude.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .model import (
@@ -41,22 +40,25 @@ from .model import (
     _is_good,
     _is_waterfall,
     _proper,
+    _Record,
+    _set,
     validate_coloring,
 )
 
 
-@dataclass(frozen=True)
-class ColorRename:
+class ColorRename(_Record):
     """Replace ``old`` by ``new`` in the lists of vertices ``start..end``."""
 
-    old: int
-    new: int
-    start: int
-    end: int
+    __slots__ = ("old", "new", "start", "end")
+
+    def __init__(self, old: int, new: int, start: int, end: int) -> None:
+        _set(self, "old", old)
+        _set(self, "new", new)
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(_Record):
     """Record of one transform, sufficient to replay it and reverse it on colorings.
 
     ``run_renames`` are the fresh-color substitutions of stage 1 (reversible
@@ -66,9 +68,17 @@ class TransformReport:
     whose reversal needs the exchange argument in ``pull_back_coloring``.
     """
 
-    run_renames: tuple[ColorRename, ...] = ()
-    relabel_map: dict[int, int] = field(default_factory=dict)
-    replacements: tuple[ColorRename, ...] = ()
+    __slots__ = ("run_renames", "relabel_map", "replacements")
+
+    def __init__(
+        self,
+        run_renames: tuple[ColorRename, ...] = (),
+        relabel_map: dict[int, int] | None = None,
+        replacements: tuple[ColorRename, ...] = (),
+    ) -> None:
+        _set(self, "run_renames", run_renames)
+        _set(self, "relabel_map", {} if relabel_map is None else relabel_map)
+        _set(self, "replacements", replacements)
 
     @property
     def fresh_colors(self) -> frozenset[int]:

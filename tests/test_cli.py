@@ -271,6 +271,39 @@ class TestMain:
             assert main(["counterexample", "--a", str(a), "--b", str(b), "--n", str(n)]) == 2
             assert capsys.readouterr().err.startswith("invalid input: ")
 
+    @pytest.mark.parametrize(
+        "instance, coloring, field",
+        [
+            ('{"graph":"path","weights":[1,1],"lists":[[1],[2,3,1.0]]}', None, "lists[1][2]"),
+            ('{"graph":"path","weights":[1,true],"lists":[[1],[2]]}', None, "weights[1]"),
+            (
+                '{"graph":"cycle","weights":[2,1,1],"lists":[[1,2],[3],[4]],'
+                '"forced":{"vertex":0,"colors":[1,"2"]}}',
+                None,
+                "forced.colors[1]",
+            ),
+            (PATH_DOC, '{"coloring":[[1],[null]]}', "coloring[1][0]"),
+        ],
+    )
+    def test_non_integer_deep_in_a_document_exit_two(
+        self, tmp_path, capsys, instance, coloring, field
+    ):
+        argv = ["verify", self._doc(tmp_path, instance)]
+        if coloring is None:
+            argv = ["decide", argv[1]]
+        else:
+            argv.append(self._doc(tmp_path, coloring, "c.json"))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f'parse error: field "{field}" must be an integer\n'
+
+    def test_counterexample_odd_length_exit_zero(self, capsys):
+        assert main(["counterexample", "--a", "7", "--b", "3", "--n", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lists"] == [list(range(1, 8))] * 5
+        assert doc["forced"] == {"vertex": 0, "colors": [1, 2, 3]}
+
     def test_negative_color_exit_two(self, tmp_path, capsys):
         doc = self._doc(tmp_path, '{"graph":"path","weights":[1,1],"lists":[[-1],[-2,5]]}')
         for command in ("decide", "oracle", "waterfall"):

@@ -250,9 +250,12 @@ class TestCounterexampleList:
         with pytest.raises(PreconditionError):
             counterexample_list(5, 2, 4)
 
-    def test_odd_length_rejected(self):
-        with pytest.raises(PreconditionError):
-            counterexample_list(4, 2, 5)
+    def test_odd_length_refuted(self):
+        fi = counterexample_list(4, 2, 5)
+        assert fi.cycle.lists == L(*[set(range(1, 5))] * 5)
+        assert fi.v0 == 0 and fi.forced == {1, 2}
+        assert not solve_free_choice(fi).colorable
+        assert not brute_force_forced(fi).colorable
 
     def test_too_short_rejected(self):
         with pytest.raises(PreconditionError):
@@ -265,3 +268,15 @@ class TestCounterexampleList:
                     if (n // 2) * (a - 2 * b) < b:
                         fi = counterexample_list(a, b, n)
                         assert all(len(entry) == a for entry in fi.cycle.lists)
+
+    def test_exists_exactly_below_the_threshold(self):
+        # the paper's threshold both ways: a witness for every "false"
+        for n in range(3, 10):
+            for b in range(1, 4):
+                for a in range(b, 3 * b + 2):
+                    if is_free_choosable(a, b, n):
+                        with pytest.raises(PreconditionError):
+                            counterexample_list(a, b, n)
+                    else:
+                        fi = counterexample_list(a, b, n)
+                        assert not solve_free_choice(fi).colorable, (a, b, n)

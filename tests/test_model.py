@@ -134,6 +134,12 @@ class TestIsWaterfall:
 
 
 class TestInstance:
+    def test_topology_must_be_a_member(self):
+        # a bare string would be taken for a path without its wrap edge
+        for n in (3, 2):
+            with pytest.raises(InvalidInputError, match="topology"):
+                Instance("cycle", (1,) * n, ([1, 2],) * n)
+
     def test_cycle_needs_three_vertices(self):
         with pytest.raises(InvalidInputError):
             Instance.cycle((1, 1), L({1}, {2}))
