@@ -239,7 +239,7 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
         "lists": [sorted(entry) for entry in transformed],
         "report": {
             "run_renames": _renames_doc(report.run_renames),
-            "relabel_map": sorted([old, new] for old, new in report.relabel_map.items()),
+            "relabel_map": sorted([old, new] for old, new in report.relabel_map),
             "replacements": _renames_doc(report.replacements),
             "fresh_colors": sorted(report.fresh_colors),
             "iterations": report.iterations,

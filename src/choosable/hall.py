@@ -8,12 +8,13 @@ turns colorability into interval counting.
 
 Every decider takes one route: a linear left-to-right greedy that keeps the
 condition on the rest of the path, so it colors exactly the colorable
-paths, and, only when it runs short, the interval scan that names the
-lexicographically first violated subpath.  The paper's two special cases
-are theorems about that route, not separate passes.  On waterfall lists a
-color's run inside any subpath is at most two long, so every color adds
-exactly one and the Hall sum is the amplitude size; on good waterfall lists
-a violated subpath, if there is one, starts at vertex 0.
+paths.  Where it runs short, at vertex v, it names the violated subpath
+with the smallest right end, v, and the smallest left end among those.
+The paper's two special cases are theorems about that route, not separate
+passes.  On waterfall lists a color's run inside any subpath is at most two
+long, so every color adds exactly one and the Hall sum is the amplitude
+size; on good waterfall lists a violated subpath, if there is one, starts
+at vertex 0.
 """
 
 from __future__ import annotations
@@ -94,50 +95,23 @@ def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> D
     """Decide colorability of a weighted path by Hall's condition on its subpaths.
 
     The greedy colors the path whenever the condition holds.  When it runs
-    short, the interval scan supplies the certificate: the lexicographically
-    smallest violating interval together with its alpha sum and demand.
+    short, the certificate is the violated subpath with the smallest right
+    end, and the smallest left end among those, with its alpha sum and
+    demand.
     """
     return _decide(Instance.path(weights, lists))
 
 
 def _decide(inst: Instance) -> Decision:
-    """The greedy's coloring, or the scan's certificate when it runs short."""
-    coloring = _greedy(inst.lists, inst.weights)
-    if coloring is not None:
-        if not validate_coloring(inst, coloring):
-            raise InternalInvariantError("the greedy's coloring is not proper")
-        return Decision(True, coloring=coloring)
-    certificate = _hall_scan(inst.lists, inst.weights)
-    if certificate is None:
-        raise InternalInvariantError("the greedy ran short on lists that pass Hall's condition")
-    return Decision(False, certificate=certificate)
-
-
-def _hall_scan(L: ListAssignment, w: Weights) -> Certificate | None:
-    """The lexicographically smallest subpath whose Hall sum misses its demand.
-
-    The alpha sums are accumulated incrementally: extending the interval by
-    one vertex grows each color's current run, and a run of length r
-    contributes another unit exactly when r is odd.
-    """
-    m = len(L)
-    prefix_w = [0]
-    for wv in w:
-        prefix_w.append(prefix_w[-1] + wv)
-    for i in range(m):
-        run_len: dict[int, int] = {}
-        alpha_sum = 0
-        for j in range(i, m):
-            prev = run_len
-            run_len = {}
-            for k in L[j]:
-                r = prev.get(k, 0) + 1
-                if r & 1:
-                    alpha_sum += 1
-                run_len[k] = r
-            if alpha_sum < prefix_w[j + 1] - prefix_w[i]:
-                return Certificate(i, j, alpha_sum, prefix_w[j + 1] - prefix_w[i])
-    return None
+    """The greedy's coloring, or the certificate it names where it runs short."""
+    found = _greedy(inst.lists, inst.weights)
+    if isinstance(found, Certificate):
+        return Decision(False, certificate=found)
+    if found is None:
+        raise InternalInvariantError("the greedy ran short with no violated subpath ending there")
+    if not validate_coloring(inst, found):
+        raise InternalInvariantError("the greedy's coloring is not proper")
+    return Decision(True, coloring=found)
 
 
 def decide_waterfall(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> Decision:
@@ -147,7 +121,7 @@ def decide_waterfall(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> 
     waterfall list each color of an interval's amplitude adds exactly one
     to its Hall sum.  Once the form is checked, the list is decided by the
     route of ``hall_check_path``, so a certificate counts the amplitude of
-    the first violated interval.
+    the violated interval that route names.
     """
     return _decide(_checked_waterfall(lists, weights))
 
@@ -158,11 +132,12 @@ def decide_waterfall_prefix(
     """Decide colorability of a good waterfall list, whose bottleneck is a prefix.
 
     Requires ``|L(i)| >= w(i) + w(i+1)`` at interior vertices and
-    ``|L(n)| >= w(n)`` at the last one.  Under those hypotheses a non-prefix
-    interval is never the first to fail, so the path is colorable iff every
-    prefix's amplitude size reaches its demand, and the certificate of a
-    "no" always starts at vertex 0.  Once the hypotheses are checked, the
-    list is decided by the route of ``hall_check_path``.
+    ``|L(n)| >= w(n)`` at the last one.  Under those hypotheses the prefix
+    that ends where the first violated intervals end is violated too, so
+    the path is colorable iff every prefix's amplitude size reaches its
+    demand, and the certificate of a "no" always starts at vertex 0.  Once
+    the hypotheses are checked, the list is decided by the route of
+    ``hall_check_path``.
     """
     inst = _checked_waterfall(lists, weights)
     L, w = inst.lists, inst.weights
@@ -180,8 +155,8 @@ def decide_waterfall_prefix(
     return _decide(inst)
 
 
-def _greedy(L: ListAssignment, w: Weights) -> Coloring | None:
-    """Color the path left to right, or return None when a vertex runs short.
+def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
+    """Color the path left to right, or name the violated subpath where it runs short.
 
     Vertex v takes the first w(v) colors of L(v) - c(v-1), with x's run
     counted over the consecutive lists from v+1 that contain it:
@@ -196,6 +171,11 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | None:
     exactly when x's run, cut off at j, has odd length.  In the order above
     the sets of such j are nested, so the first w(v) colors keep Hall's
     condition on v+1.. whenever any choice of w(v) colors does.
+
+    When vertex v runs short, vertices 0..v-1 are properly colored, so no
+    violated subpath ends before v.  The return value is then the violated
+    subpath ending at v with the smallest left end, or None if there is
+    none, which ``_decide`` treats as a broken invariant.
     """
     m = len(L)
     # runs[v][x]: how many consecutive lists from v on contain x
@@ -220,10 +200,23 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | None:
 
         avail = sorted(L[v] - taken, key=cost)
         if len(avail) < w[v]:
-            return None
+            break
         taken = frozenset(avail[: w[v]])
         out.append(taken)
-    return tuple(out)
+    if len(out) == m:
+        return tuple(out)
+
+    # v ran short.  The left end i walks from v down to 0: x in L(i) opens
+    # its run in i..v at i, which adds one to the Hall sum exactly when the
+    # run from i+1, cut off at v, has even length.
+    found = None
+    alpha = demand = 0
+    for i in range(v, -1, -1):
+        alpha += sum(1 for x in L[i] if not min(runs[i + 1].get(x, 0), v - i) & 1)
+        demand += w[i]
+        if alpha < demand:
+            found = i, alpha, demand
+    return None if found is None else Certificate(found[0], v, found[1], found[2])
 
 
 def construct_coloring_waterfall(

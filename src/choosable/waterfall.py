@@ -62,10 +62,11 @@ class TransformReport(_Record):
     """Record of one transform, sufficient to replay it and reverse it on colorings.
 
     ``run_renames`` are the fresh-color substitutions of stage 1 (reversible
-    by plain renaming), ``relabel_map`` the stage 2 permutation restricted to
-    its non-identity pairs (applied to the normalized list, fresh colors
-    included), and ``replacements`` the stage 3 events in execution order,
-    whose reversal needs the exchange argument in ``pull_back_coloring``.
+    by plain renaming), ``relabel_map`` the stage 2 permutation as its
+    non-identity ``(old, new)`` pairs in span order (applied to the
+    normalized list, fresh colors included), and ``replacements`` the stage
+    3 events in execution order, whose reversal needs the exchange argument
+    in ``pull_back_coloring``.
     """
 
     __slots__ = ("run_renames", "relabel_map", "replacements")
@@ -73,11 +74,11 @@ class TransformReport(_Record):
     def __init__(
         self,
         run_renames: tuple[ColorRename, ...] = (),
-        relabel_map: dict[int, int] | None = None,
+        relabel_map: tuple[tuple[int, int], ...] = (),
         replacements: tuple[ColorRename, ...] = (),
     ) -> None:
         _set(self, "run_renames", run_renames)
-        _set(self, "relabel_map", {} if relabel_map is None else relabel_map)
+        _set(self, "relabel_map", relabel_map)
         _set(self, "replacements", replacements)
 
     @property
@@ -145,7 +146,7 @@ def _plan(L: ListAssignment) -> TransformReport:
     # smallest label, fresh run labels included.
     spans.sort()
     labels = sorted(label for _, _, label in spans)
-    relabel = {x: new for (_, _, x), new in zip(spans, labels) if x != new}
+    relabel = tuple((x, new) for (_, _, x), new in zip(spans, labels) if x != new)
 
     # Stage 3: labels now follow span order and each fresh label exceeds
     # every label before it, so first in, first out is the order of
@@ -168,7 +169,8 @@ def _replay(L: ListAssignment, report: TransformReport) -> list[set[int]]:
     work = [set(colors) for colors in L]
     for ev in report.run_renames:
         _rename(work, ev.old, ev.new, ev.start, ev.end)
-    work = [{report.relabel_map.get(x, x) for x in colors} for colors in work]
+    relabel = dict(report.relabel_map)
+    work = [{relabel.get(x, x) for x in colors} for colors in work]
     for ev in report.replacements:
         _rename(work, ev.old, ev.new, ev.start, ev.end)
     return work
@@ -230,7 +232,7 @@ def pull_back_coloring(
         _rename(c, y, x, ev.start, ev.end)
         _rename(work, y, x, ev.start, ev.end)
 
-    inverse = {new: old for old, new in report.relabel_map.items()}
+    inverse = {new: old for old, new in report.relabel_map}
     c = [{inverse.get(x, x) for x in entry} for entry in c]
     for ev in reversed(report.run_renames):
         _rename(c, ev.new, ev.old, ev.start, ev.end)

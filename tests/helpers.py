@@ -1,11 +1,11 @@
-"""Shared builders and enumerators for the test suite."""
+"""Shared builders, enumerators and the reference interval scan for the test suite."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from choosable import Instance
+from choosable import Certificate, Instance, ListAssignment, Weights
 
 
 def L(*entries):
@@ -70,3 +70,30 @@ def planted_good_path(seed, m, weight=2, size=6, colors=12):
         rest = rng.sample([c for c in palette if c not in planted], size - weight)
         lists.append(sorted(planted) + rest)
     return weights, lists
+
+
+def _hall_scan(L: ListAssignment, w: Weights) -> Certificate | None:
+    """The lexicographically smallest subpath whose Hall sum misses its demand.
+
+    The alpha sums are accumulated incrementally: extending the interval by
+    one vertex grows each color's current run, and a run of length r
+    contributes another unit exactly when r is odd.
+    """
+    m = len(L)
+    prefix_w = [0]
+    for wv in w:
+        prefix_w.append(prefix_w[-1] + wv)
+    for i in range(m):
+        run_len: dict[int, int] = {}
+        alpha_sum = 0
+        for j in range(i, m):
+            prev = run_len
+            run_len = {}
+            for k in L[j]:
+                r = prev.get(k, 0) + 1
+                if r & 1:
+                    alpha_sum += 1
+                run_len[k] = r
+            if alpha_sum < prefix_w[j + 1] - prefix_w[i]:
+                return Certificate(i, j, alpha_sum, prefix_w[j + 1] - prefix_w[i])
+    return None

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -160,6 +161,21 @@ class TestMain:
         answer = self._doc(tmp_path, capsys.readouterr().out, "answer.json")
         assert main(["verify", inst, answer]) == 0
         assert json.loads(capsys.readouterr().out) == {"valid": True}
+
+    def test_long_path_late_violation(self, tmp_path, capsys):
+        # colorable up to its last two vertices, which share one color
+        rng = random.Random(5)
+        m = 100_000
+        w = [1] * m
+        lists = [rng.sample(range(12), 3) for _ in range(m - 2)] + [[100], [100]]
+        inst = self._doc(tmp_path, json.dumps({"graph": "path", "weights": w, "lists": lists}))
+        assert main(["decide", inst]) == 1
+        assert json.loads(capsys.readouterr().out)["certificate"] == {
+            "i": 99998,
+            "j": 99999,
+            "amplitude": 1,
+            "demand": 2,
+        }
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         doc = '{"graph":"cycle","weights":[1,1,1],"lists":[[1,2],[1,2],[1,2]]}'

@@ -20,8 +20,8 @@ from choosable import (
     hall_summands,
     validate_coloring,
 )
-from choosable.hall import _greedy, _hall_scan
-from helpers import L, waterfall_lists, weight_vectors
+from choosable.hall import _greedy
+from helpers import L, _hall_scan, waterfall_lists, weight_vectors
 
 
 class TestAlphaPath:
@@ -49,8 +49,8 @@ class TestHallCheckPath:
     def test_single_color_infeasible(self):
         d = hall_check_path(L({1}, {1}, {1}), (1, 1, 1))
         assert not d.colorable
-        # lexicographically smallest violating interval: vertices 0..1
-        # already fail (alpha 1 < demand 2)
+        # the violated interval that ends first: vertices 0..1 already
+        # fail (alpha 1 < demand 2)
         assert d.certificate == Certificate(0, 1, 1, 2)
 
     def test_alternating_colorable(self):
@@ -66,6 +66,9 @@ class TestHallCheckPath:
         assert brute_force(Instance.path((1, 2, 1), lists)).colorable
 
     def test_certificate_alpha_sum_recomputes(self):
+        def hall_sum(lists, i, j):
+            return sum(alpha_path(lists, i, j, k) for k in amplitude(lists, i, j))
+
         rng = random.Random(11)
         seen = 0
         while seen < 200:
@@ -78,12 +81,18 @@ class TestHallCheckPath:
             if d.colorable:
                 continue
             c = d.certificate
-            recomputed = sum(
-                alpha_path(lists, c.i, c.j, k) for k in amplitude(lists, c.i, c.j)
-            )
-            assert c.amplitude_size == recomputed
+            assert c.amplitude_size == hall_sum(lists, c.i, c.j)
             assert c.demand == sum(w[c.i : c.j + 1])
             assert c.amplitude_size < c.demand
+            # the smallest right end of any violated subpath, and the
+            # smallest left end violated there
+            violated = {
+                (i, j)
+                for j in range(m)
+                for i in range(j + 1)
+                if hall_sum(lists, i, j) < sum(w[i : j + 1])
+            }
+            assert min((j, i) for i, j in violated) == (c.j, c.i)
             seen += 1
 
     def test_matches_oracle_small_exhaustive(self):
@@ -213,25 +222,27 @@ class TestDecideWaterfallPrefix:
 
     def test_agrees_with_decide_waterfall_under_preconditions(self):
         universe = tuple(range(1, 6))
-        checked = refused = 0
+        checked = refused = heavy = 0
         for m in (1, 2, 3, 4):
             for lists in waterfall_lists(universe, 3, m):
-                w = (1,) * m
-                if any(len(lists[i]) < 2 for i in range(1, m - 1)):
-                    continue
-                if len(lists[-1]) < 1:
-                    continue
-                d = decide_waterfall_prefix(lists, w)
-                assert d.colorable == decide_waterfall(lists, w).colorable, lists
-                # the theorem, checked against ground truth rather than
-                # against a decider that shares its code: the verdict is
-                # the oracle's, and the first violated interval is a prefix
-                assert d.colorable == brute_force(Instance.path(w, lists)).colorable, lists
-                if not d.colorable:
-                    assert d.certificate.i == 0, (lists, d.certificate)
-                    refused += 1
-                checked += 1
-        assert checked > 1000 and refused > 100
+                for w in itertools.product((1, 2), repeat=m):
+                    if any(len(lists[i]) < w[i] + w[i + 1] for i in range(1, m - 1)):
+                        continue
+                    if len(lists[-1]) < w[-1]:
+                        continue
+                    case = (lists, w)
+                    d = decide_waterfall_prefix(lists, w)
+                    assert d.colorable == decide_waterfall(lists, w).colorable, case
+                    # the theorem, checked against ground truth rather than
+                    # against a decider that shares its code: the verdict is
+                    # the oracle's, and the certificate is a prefix
+                    assert d.colorable == brute_force(Instance.path(w, lists)).colorable, case
+                    if not d.colorable:
+                        assert d.certificate.i == 0, (case, d.certificate)
+                        refused += 1
+                        heavy += 2 in w
+                    checked += 1
+        assert checked > 1000 and refused > 100 and heavy > 100
 
 
 class TestConstructColoringWaterfall:
@@ -293,10 +304,11 @@ class TestGreedy:
                 frozenset(rng.sample(range(6), rng.randint(1, 6))) for _ in range(m)
             )
             w = tuple(rng.randint(0, 3) for _ in range(m))
-            coloring = _greedy(lists, w)
-            assert (coloring is None) == (_hall_scan(lists, w) is not None), (lists, w)
-            if coloring is not None:
-                assert validate_coloring(Instance.path(w, lists), coloring), (lists, w)
+            found = _greedy(lists, w)
+            refused = isinstance(found, Certificate)
+            assert refused == (_hall_scan(lists, w) is not None), (lists, w)
+            if not refused:
+                assert validate_coloring(Instance.path(w, lists), found), (lists, w)
                 colorable += 1
         # both outcomes are well represented
         assert 5_000 < colorable < 15_000

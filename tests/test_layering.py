@@ -1,9 +1,10 @@
 """Import boundaries between the package's modules, read from their source.
 
 The brute-force oracle is ground truth for the interval machinery, so it
-must not use it; and the Hall deciders and the cycle reduction, which make
-up ``decide``, must not lean on the waterfall transform, which is kept as a
-checked artifact of the paper.
+must not use it; the Hall deciders and the cycle reduction, which make up
+``decide``, must not lean on the waterfall transform, which is kept as a
+checked artifact of the paper; and the reference interval scan in
+``tests/helpers.py`` must not borrow from the Hall deciders it checks.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import choosable
 
 PACKAGE = Path(choosable.__file__).parent
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
 
 
 def imported_modules(name):
@@ -49,3 +51,19 @@ def test_imports_are_seen():
     assert {"model", "cycles"} <= imported_modules("oracle")
     assert "model" in imported_modules("hall")
     assert {"hall", "model"} <= imported_modules("cycles")
+
+
+def test_reference_scan_stays_off_hall():
+    tree = ast.parse(HELPERS.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            if node.module == "choosable":
+                for alias in node.names:
+                    value = getattr(choosable, alias.name)
+                    names.add(getattr(value, "__module__", None) or value.__name__)
+    assert "choosable" in names  # the walk sees the package import
+    assert not any(name and name.startswith("choosable.hall") for name in names), names

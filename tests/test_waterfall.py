@@ -54,7 +54,7 @@ class TestNormalizeRuns:
         out, report = to_waterfall(L({1}, {1}, {2}, {1}), (1, 0, 1, 0))
         assert out == L({1}, {1}, {2}, {3})
         assert report.run_renames == (ColorRename(1, 3, 3, 3),)
-        assert report.relabel_map == {} and report.replacements == ()
+        assert report.relabel_map == () and report.replacements == ()
 
     def test_similarity_on_examples(self):
         for lists, w in [(L({1}, {2}, {1}), (1, 0, 1)), (L({1}, {1}, {2}, {1}), (1, 0, 1, 0))]:
@@ -108,7 +108,7 @@ class TestToWaterfall:
         out, report = to_waterfall(lists, (1,) * 5)
         assert out == L({1}, {1, 2}, {3, 11}, {3, 9}, {10})
         assert report.run_renames == (ColorRename(2, 10, 3, 3),)
-        assert report.relabel_map == {10: 9, 9: 10}
+        assert report.relabel_map == ((10, 9), (9, 10))
         assert report.fresh_colors == {10, 11}
 
     def test_fresh_colors_avoid_input_amplitude(self):
