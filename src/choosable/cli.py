@@ -57,6 +57,10 @@ def _load_json(text: str | bytes) -> Any:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer too long to convert, or bytes not UTF-8
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def _require(doc: dict, field: str, where: str = "document") -> Any:
@@ -191,10 +195,13 @@ def parse_decision(text: str | bytes) -> Decision:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _parse_coloring_document(text: str) -> Coloring:

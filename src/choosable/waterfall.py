@@ -17,8 +17,9 @@ Each stage preserves per-vertex list sizes and colorability in both
 directions, stage 3 thanks to the good-list bound.  The events of all
 three stages depend only on the input's maximal color runs, so
 ``to_waterfall`` plans the whole ``TransformReport`` from them and then
-replays it on the list; ``pull_back_coloring`` replays the same report to
-carry a coloring of the transformed list back to the original one.
+replays it on the list.  Read in input colors, a coloring of the
+transformed list conflicts only where two labels of one run meet, and
+``pull_back_coloring`` repairs those places in one right-to-left sweep.
 
 Fresh colors are chosen as the smallest integer larger than every color
 seen so far, so outputs are deterministic and fresh labels never collide
@@ -65,8 +66,8 @@ class TransformReport(_Record):
     by plain renaming), ``relabel_map`` the stage 2 permutation as its
     non-identity ``(old, new)`` pairs in span order (applied to the
     normalized list, fresh colors included), and ``replacements`` the stage
-    3 events in execution order, whose reversal needs the exchange argument
-    in ``pull_back_coloring``.
+    3 events in execution order.  Stage 3 alone is not undone by renaming:
+    where two labels of one run meet, a coloring needs an exchange.
     """
 
     __slots__ = ("run_renames", "relabel_map", "replacements")
@@ -165,15 +166,30 @@ def _plan(L: ListAssignment) -> TransformReport:
 
 
 def _replay(L: ListAssignment, report: TransformReport) -> list[set[int]]:
-    """The transformed list of ``L``, one mutable set per vertex."""
+    """The transformed list of ``L``, one mutable set per vertex.
+
+    Linear: a replacement relabels only the first two vertices of its span;
+    the rest of the run keeps its stage 2 label until its chain reaches it.
+    """
     work = [set(colors) for colors in L]
     for ev in report.run_renames:
         _rename(work, ev.old, ev.new, ev.start, ev.end)
     relabel = dict(report.relabel_map)
     work = [{relabel.get(x, x) for x in colors} for colors in work]
+    root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
     for ev in report.replacements:
-        _rename(work, ev.old, ev.new, ev.start, ev.end)
+        old = root[ev.new] = root.get(ev.old, ev.old)
+        _rename(work, old, ev.new, ev.start, min(ev.start + 1, ev.end))
     return work
+
+
+def _input_colors(report: TransformReport) -> dict[int, int]:
+    """The input color of every issued label, each of which stands for one run."""
+    source = {ev.new: ev.old for ev in report.run_renames}
+    source |= {new: source.get(old, old) for old, new in report.relabel_map}
+    for ev in report.replacements:
+        source[ev.new] = source.get(ev.old, ev.old)
+    return source
 
 
 def _rename(lists: list[set[int]], old: int, new: int, start: int, end: int) -> None:
@@ -192,50 +208,33 @@ def pull_back_coloring(
 ) -> Coloring:
     """Turn a coloring of the transformed list into one of the original list.
 
-    The report is replayed on one working list, and the replacement events
-    are then undone in place, last first, on that list and on the coloring
-    together.  Undoing the event that traded color x
-    for fresh color y on vertices i_x+2..j_x renames y back to x, except
-    when x sits at vertex i_x+1 and y at vertex i_x+2 at the same time; then
-    a swap color z is taken from L'(i_x+1), the working list at that moment,
-    outside the three touched color sets, or failing that from what vertex
-    i_x uses and vertex i_x+2 does not, and the three-way exchange restores
-    properness.  The second swap color always exists for good lists;
-    running out of candidates therefore raises ``InternalInvariantError``.
+    Read in input colors, the coloring conflicts only where two labels of one
+    run's stage 3 chain meet: a color x at v and v+1, v = i_x + 2k + 1.  One
+    sweep repairs these, v = m-2 down to 1, each shared x in ascending order:
+    the smallest z of L(v) - c(v-1) - c(v) - c(v+1) replaces x at v, or else
+    the smallest z of (c(v-1) & L(v)) - c(v) - c(v+1) trades places with x
+    between v-1 and v, which x's run covers, so only v-2 and v-1 can then
+    share x.  That z exists by the good bound |L(v)| >= w(v) + w(v+1): c(v)
+    and c(v+1) share x, so they hold at most w(v) + w(v+1) - 1 colors.
     """
     original = Instance.path(weights, original_lists)
-    work = _replay(original.lists, report)
+    L = original.lists
     c = [set(entry) for entry in c_waterfall]
-    if not _proper(work, original.weights, c, original.edges()):
+    if not _proper(_replay(L, report), original.weights, c, original.edges()):
         raise InvalidInputError("coloring is not valid for the transformed list")
 
-    for ev in reversed(report.replacements):
-        x, y = ev.old, ev.new
-        ix = ev.start - 2
-        if x in c[ix + 1] and y in c[ix + 2]:
-            blocked = c[ix] | c[ix + 1] | c[ix + 2]
-            candidates = sorted(work[ix + 1] - blocked)
-            if candidates:
-                z = candidates[0]
-            else:
-                candidates = sorted((c[ix] - c[ix + 2]) & work[ix + 1])
-                if not candidates:
-                    raise InternalInvariantError(
-                        f"no swap color at vertex {ix + 1} while undoing "
-                        f"replacement of {x} by {y}"
-                    )
-                z = candidates[0]
-                c[ix].discard(z)
-                c[ix].add(x)
-            c[ix + 1].discard(x)
-            c[ix + 1].add(z)
-        _rename(c, y, x, ev.start, ev.end)
-        _rename(work, y, x, ev.start, ev.end)
-
-    inverse = {new: old for old, new in report.relabel_map}
-    c = [{inverse.get(x, x) for x in entry} for entry in c]
-    for ev in reversed(report.run_renames):
-        _rename(c, ev.new, ev.old, ev.start, ev.end)
+    source = _input_colors(report)
+    c = [{source.get(x, x) for x in entry} for entry in c]
+    for v in range(len(c) - 2, 0, -1):
+        for x in sorted(c[v] & c[v + 1]):
+            z = min(L[v] - c[v - 1] - c[v] - c[v + 1], default=None)
+            if z is None:
+                swap = (c[v - 1] & L[v]) - c[v] - c[v + 1]
+                if not swap:
+                    raise InternalInvariantError(f"no swap color for {x} at vertex {v}")
+                z = min(swap)
+                c[v - 1] ^= {x, z}
+            c[v] ^= {x, z}
 
     result = tuple(frozenset(entry) for entry in c)
     if not validate_coloring(original, result):

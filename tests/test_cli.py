@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import subprocess
@@ -313,6 +314,38 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f'parse error: field "{field}" must be an integer\n'
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"graph":"path","weights":[1],"lists":[[' + b"7" * 5000 + b"]]}",
+            b"\xff\xfe",
+        ],
+        ids=["nested", "long-integer", "not-utf8"],
+    )
+    @pytest.mark.parametrize(
+        "where", ["decide", "decide-stdin", "verify-instance", "verify-coloring"]
+    )
+    def test_malformed_input_is_a_parse_error(
+        self, tmp_path, capsys, monkeypatch, payload, where
+    ):
+        # each used to escape as an unexpected exception and exit 3
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        good = self._doc(tmp_path, PATH_DOC)
+        argv = {
+            "decide": ["decide", str(bad)],
+            "decide-stdin": ["decide", "-"],
+            "verify-instance": ["verify", str(bad), good],
+            "verify-coloring": ["verify", good, str(bad)],
+        }[where]
+        stdin = io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
 
     def test_counterexample_odd_length_exit_zero(self, capsys):
         assert main(["counterexample", "--a", "7", "--b", "3", "--n", "5"]) == 0

@@ -3,8 +3,11 @@
 The brute-force oracle is ground truth for the interval machinery, so it
 must not use it; the Hall deciders and the cycle reduction, which make up
 ``decide``, must not lean on the waterfall transform, which is kept as a
-checked artifact of the paper; and the reference interval scan in
-``tests/helpers.py`` must not borrow from the Hall deciders it checks.
+checked artifact of the paper; the waterfall transform in turn uses only
+the model, so its pull-back cannot borrow a decider it is checked against
+(re-running the greedy would pass every validity check); and the reference
+interval scan in ``tests/helpers.py`` must not borrow from the Hall
+deciders it checks.
 """
 
 import ast
@@ -44,6 +47,10 @@ def test_oracle_stays_off_the_interval_machinery():
 def test_hall_does_not_import_waterfall():
     for name in ("hall", "cycles"):
         assert "waterfall" not in imported_modules(name), name
+
+
+def test_waterfall_imports_only_model():
+    assert imported_modules("waterfall") == {"model"}
 
 
 def test_imports_are_seen():

@@ -239,10 +239,14 @@ class TestPullBack:
     def test_every_waterfall_coloring_pulls_back(self):
         # enumerate every coloring of the transformed list, not only the
         # oracle's first one, and pull each back; the second list makes a
-        # fresh color long again, so events nest
+        # fresh color long again, so events nest; the third has a detached
+        # run, a relabel and a replacement; in the fourth each color's chain
+        # has three replacements, and every repair needs the exchange
         for lists in (
             L({1, 2}, {1, 2, 3}, {2, 3}, {3, 4}),
             L({1, 9}, {1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 3}),
+            L({1}, {1, 2}, {1, 3}, {2, 3}, {9}),
+            L(*[{1, 2}] * 7),
         ):
             w = (1,) * len(lists)
             out, report = to_waterfall(lists, w)
@@ -257,6 +261,18 @@ class TestPullBack:
                 assert validate_coloring(original, back)
                 count += 1
             assert count > 0
+
+    def test_single_run_round_trip_is_linear(self):
+        # each color is one run of 10^5 vertices, a chain of 5 * 10^4
+        # replacements; renaming each over the rest of its span would take
+        # most of an hour
+        m = 100_000
+        lists, w = [[0, 1]] * m, [1] * m
+        out, report = to_waterfall(lists, w)
+        assert report.iterations == 2 * (m // 2 - 1)
+        decision = decide_waterfall(out, w)
+        back = pull_back_coloring(report, decision.coloring, lists, w)
+        assert validate_coloring(Instance.path(w, lists), back)
 
     def test_long_round_trip_memory(self):
         # the pull-back keeps one working list, not a copy per replacement
