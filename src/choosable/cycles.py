@@ -54,6 +54,8 @@ class FreeChoiceInstance(_Record):
         forced = frozenset(forced)
         if cycle.topology is not Topology.CYCLE:
             raise InvalidInputError("free choice instances are rooted in cycles")
+        if not isinstance(v0, int) or isinstance(v0, bool):
+            raise InvalidInputError(f"v0 must be an integer, got {v0!r}")
         if not 0 <= v0 < cycle.n_vertices:
             raise InvalidInputError(f"v0 = {v0} out of range")
         if len(forced) != cycle.weights[v0]:

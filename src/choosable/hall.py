@@ -8,7 +8,9 @@ turns colorability into interval counting.
 
 Every decider takes one route: a linear left-to-right greedy that keeps the
 condition on the rest of the path, so it colors exactly the colorable
-paths.  Where it runs short, at vertex v, it names the violated subpath
+paths.  It counts runs only for the colors a vertex shares with the next
+one, and ranks those only at a vertex whose unshared colors fall short of
+its weight.  Where it runs short, at vertex v, it names the violated subpath
 with the smallest right end, v, and the smallest left end among those.
 The paper's two special cases are theorems about that route, not separate
 passes.  On waterfall lists a color's run inside any subpath is at most two
@@ -172,47 +174,55 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
     the sets of such j are nested, so the first w(v) colors keep Hall's
     condition on v+1.. whenever any choice of w(v) colors does.
 
+    Only colors that L(v) shares with L(v+1) have a run, so the table keeps
+    those alone, and a vertex whose colors of the first class number at
+    least w(v) takes the smallest of them without ranking the others.
+
     When vertex v runs short, vertices 0..v-1 are properly colored, so no
     violated subpath ends before v.  The return value is then the violated
     subpath ending at v with the smallest left end, or None if there is
     none, which ``_decide`` treats as a broken invariant.
     """
     m = len(L)
-    # runs[v][x]: how many consecutive lists from v on contain x
-    runs: list[dict[int, int]] = [{}]
-    for colors in reversed(L):
-        after = runs[-1]
-        runs.append({x: after.get(x, 0) + 1 for x in colors})
-    runs.reverse()
+    # shared[v][x]: for x in both L(v) and L(v+1), how many consecutive
+    # lists from v+1 on contain x
+    shared: list[dict[int, int]] = [{}] * m
+    after: dict[int, int] = {}
+    for v in range(m - 2, -1, -1):
+        after = shared[v] = {x: after.get(x, 0) + 1 for x in L[v] & L[v + 1]}
 
     out: list[frozenset[int]] = []
     taken: frozenset[int] = frozenset()
     for v in range(m):
-        nxt, to_end = runs[v + 1], m - 1 - v
-
-        def cost(x: int) -> tuple[int, int, int]:
-            r = nxt.get(x, 0)
-            if r == 0:
-                return (0, 0, x)
-            if r == to_end:
-                return (2, 0, x)
-            return (3, -r, x) if r & 1 else (1, r, x)
-
-        avail = sorted(L[v] - taken, key=cost)
-        if len(avail) < w[v]:
+        need = w[v]
+        avail = L[v] - taken
+        if len(avail) < need:
             break
-        taken = frozenset(avail[: w[v]])
+        if len(avail) > need:
+            runs = shared[v]
+            first = sorted(avail.difference(runs))
+            if len(first) < need:
+                to_end = m - 1 - v
+                ranked = sorted(
+                    (2, 0, x) if r == to_end else (3, -r, x) if r & 1 else (1, r, x)
+                    for x, r in runs.items()
+                    if x not in taken
+                )
+                first += [x for _, _, x in ranked]
+            avail = frozenset(first[:need])
+        taken = avail
         out.append(taken)
     if len(out) == m:
         return tuple(out)
 
     # v ran short.  The left end i walks from v down to 0: x in L(i) opens
     # its run in i..v at i, which adds one to the Hall sum exactly when the
-    # run from i+1, cut off at v, has even length.
+    # run from i+1, cut off at v, has even length, as every color absent
+    # from L(i+1) does.
     found = None
     alpha = demand = 0
     for i in range(v, -1, -1):
-        alpha += sum(1 for x in L[i] if not min(runs[i + 1].get(x, 0), v - i) & 1)
+        alpha += len(L[i]) - sum([min(r, v - i) & 1 for r in shared[i].values()])
         demand += w[i]
         if alpha < demand:
             found = i, alpha, demand

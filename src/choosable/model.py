@@ -90,8 +90,10 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
 def as_weights(weights: Iterable[int]) -> Weights:
     out = tuple(weights)
     for wv in out:
-        if not isinstance(wv, int) or isinstance(wv, bool) or wv < 0:
-            raise InvalidInputError(f"weights must be non-negative integers, got {wv!r}")
+        # the plain-int test alone passes nearly every weight
+        if type(wv) is not int or wv < 0:
+            if not isinstance(wv, int) or isinstance(wv, bool) or wv < 0:
+                raise InvalidInputError(f"weights must be non-negative integers, got {wv!r}")
     return out
 
 

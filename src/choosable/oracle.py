@@ -32,6 +32,8 @@ class SearchBudget(_Record):
     __slots__ = ("max_nodes",)
 
     def __init__(self, max_nodes: int = 10_000_000) -> None:
+        if not isinstance(max_nodes, int) or isinstance(max_nodes, bool):
+            raise InvalidInputError(f"max_nodes must be an integer, got {max_nodes!r}")
         if max_nodes < 1:
             raise InvalidInputError("max_nodes must be positive")
         _set(self, "max_nodes", max_nodes)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -177,6 +178,26 @@ class TestMain:
             "amplitude": 1,
             "demand": 2,
         }
+
+    def test_decide_long_path_golden(self, tmp_path, capsys):
+        # non-good: weights 1, 2, 3 repeating, |L(v)| = w(v-1) + w(v), planted coloring
+        rng = random.Random(12)
+        w = [1 + v % 3 for v in range(900)]
+        lists, planted = [], set()
+        for v, wv in enumerate(w):
+            planted = rng.sample([x for x in range(12) if x not in planted], wv)
+            extra = rng.sample([x for x in range(12) if x not in planted], w[v - 1] if v else 0)
+            lists.append(planted + extra)
+        good, non_good = planted_good_path(11, 900), (w, lists)
+        golden = {
+            "52ccc958f73ab895994262b8f4ad5d5e6a581357eaed2cab2eaba3d074efba77": good,
+            "c6d390054bf1818cf8a471081e3dffc07fff10d7b0eb333b4081af338808bf11": non_good,
+        }
+        for digest, (weights, colors) in golden.items():
+            doc = json.dumps({"graph": "path", "weights": weights, "lists": colors})
+            assert main(["decide", self._doc(tmp_path, doc)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         doc = '{"graph":"cycle","weights":[1,1,1],"lists":[[1,2],[1,2],[1,2]]}'

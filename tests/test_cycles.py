@@ -141,6 +141,12 @@ class TestFreeChoiceInstance:
         with pytest.raises(InvalidInputError):
             FreeChoiceInstance(cyc, 3, frozenset({1}))
 
+    @pytest.mark.parametrize("v0", [1.0, "1", True, None])
+    def test_v0_must_be_a_plain_integer(self, v0):
+        cyc = Instance.cycle((1, 1, 1), L({1, 2}, {1, 2}, {1, 2, 3}))
+        with pytest.raises(InvalidInputError, match="v0 must be an integer"):
+            FreeChoiceInstance(cyc, v0, frozenset({1}))
+
 
 class TestCycleToPath:
     def test_triangle(self):

@@ -21,7 +21,14 @@ from choosable import (
     validate_coloring,
 )
 from choosable.hall import _greedy
-from helpers import L, _hall_scan, waterfall_lists, weight_vectors
+from helpers import (
+    L,
+    _hall_scan,
+    planted_good_path,
+    reference_greedy,
+    waterfall_lists,
+    weight_vectors,
+)
 
 
 class TestAlphaPath:
@@ -331,3 +338,35 @@ class TestGreedy:
         # from vertex 1 on, color 1 runs 4 vertices and color 2 runs 2
         even = L({1, 2}, {1, 2}, {1, 2}, {1}, {1}, {5})
         assert _greedy(even, (1, 0, 0, 0, 0, 0))[0] == {2}
+
+    def test_same_answer_as_reference(self):
+        # the coloring or the certificate, not just the verdict
+        rng = random.Random(2011)
+        colorable = 0
+        for _ in range(6_000):
+            m = rng.randint(1, 60)
+            k = rng.randint(1, 14)
+            top = rng.randint(0, 3)
+            lists = tuple(
+                frozenset(rng.sample(range(k), rng.randint(0, k))) for _ in range(m)
+            )
+            w = tuple(rng.randint(0, top) for _ in range(m))
+            found = _greedy(lists, w)
+            assert found == reference_greedy(lists, w), (lists, w)
+            colorable += not isinstance(found, Certificate)
+        assert 1_500 < colorable < 4_500
+        for seed, weight, size in ((0, 2, 6), (1, 1, 3), (2, 3, 7), (3, 2, 4)):
+            inst = Instance.path(*planted_good_path(seed, 900, weight, size))
+            assert _greedy(inst.lists, inst.weights) == reference_greedy(
+                inst.lists, inst.weights
+            ), seed
+        # at vertex 1 the available colors absent from L(2) are 8 and 9,
+        # fewer than, as many as or more than w(1); from vertex 2 on, color
+        # 2 runs 2 vertices and stops, color 1 runs 1 and stops
+        lists = L({5}, {1, 2, 5, 8, 9}, {1, 2}, {2}, {7})
+        expected = {1: {8}, 2: {8, 9}, 3: {8, 9, 2}, 4: {8, 9, 2, 1}}
+        for k, colors in expected.items():
+            w = (1, k, 0, 0, 0)
+            found = _greedy(lists, w)
+            assert found == reference_greedy(lists, w)
+            assert found[1] == colors

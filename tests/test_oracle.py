@@ -7,6 +7,7 @@ from choosable import (
     Certificate,
     FreeChoiceInstance,
     Instance,
+    InvalidInputError,
     SearchBudget,
     brute_force,
     brute_force_forced,
@@ -49,6 +50,16 @@ class TestBruteForce:
             brute_force(inst, SearchBudget(max_nodes=5))
         assert exc.value.nodes == 6
         assert exc.value.max_nodes == 5
+
+    @pytest.mark.parametrize("max_nodes", [2.5, 3.0, "3", True, None])
+    def test_budget_must_be_a_plain_integer(self, max_nodes):
+        with pytest.raises(InvalidInputError, match="max_nodes must be an integer"):
+            SearchBudget(max_nodes)
+
+    @pytest.mark.parametrize("max_nodes", [0, -1])
+    def test_budget_must_be_positive(self, max_nodes):
+        with pytest.raises(InvalidInputError, match="max_nodes must be positive"):
+            SearchBudget(max_nodes)
 
     def test_long_path_needs_no_recursion(self):
         w, lists = planted_good_path(1, 1200)
