@@ -23,6 +23,7 @@ from .model import (
     PreconditionError,
     Rational,
     Topology,
+    _int_at_least,
     _Record,
     _set,
     as_lists,
@@ -35,10 +36,8 @@ class ChoiceParameters(_Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
-        if a < 1 or b < 1:
-            raise InvalidInputError("a and b must be positive integers")
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set(self, "a", _int_at_least(a, 1, "a must be a positive integer"))
+        _set(self, "b", _int_at_least(b, 1, "b must be a positive integer"))
 
     @property
     def e(self) -> int:
@@ -51,12 +50,10 @@ class FreeChoiceInstance(_Record):
     __slots__ = ("cycle", "v0", "forced")
 
     def __init__(self, cycle: Instance, v0: int, forced: frozenset[int]) -> None:
-        forced = frozenset(forced)
-        if cycle.topology is not Topology.CYCLE:
+        (forced,) = as_lists((forced,))
+        if not isinstance(cycle, Instance) or cycle.topology is not Topology.CYCLE:
             raise InvalidInputError("free choice instances are rooted in cycles")
-        if not isinstance(v0, int) or isinstance(v0, bool):
-            raise InvalidInputError(f"v0 must be an integer, got {v0!r}")
-        if not 0 <= v0 < cycle.n_vertices:
+        if _int_at_least(v0, 0, "v0 must be a non-negative integer") >= cycle.n_vertices:
             raise InvalidInputError(f"v0 = {v0} out of range")
         if len(forced) != cycle.weights[v0]:
             raise InvalidInputError(
@@ -65,7 +62,6 @@ class FreeChoiceInstance(_Record):
             )
         if not forced <= cycle.lists[v0]:
             raise InvalidInputError("forced colors must come from the list at v0")
-        as_lists((forced,))  # True equals 1, so it passes the subset test
         _set(self, "cycle", cycle)
         _set(self, "v0", v0)
         _set(self, "forced", forced)
@@ -86,6 +82,7 @@ def endpoint_threshold(params: ChoiceParameters, n: int) -> bool:
     list with |L(0)| = |L(n)| = b and interior sizes a admits a coloring
     giving b colors per vertex.
     """
+    _int_at_least(n, 0, "n must be a non-negative integer")
     if params.e < 1:
         raise PreconditionError(
             f"requires e = a - 2b >= 1, got e = {params.e} for a = {params.a}, b = {params.b}"
@@ -93,11 +90,14 @@ def endpoint_threshold(params: ChoiceParameters, n: int) -> bool:
     return n >= even_ceil(Fraction(2 * params.b, params.e))
 
 
+def _half(n: int) -> int:
+    """floor(n/2) of a cycle length n, which the paper's results need to be >= 3."""
+    return _int_at_least(n, 3, "cycle length n must be an integer >= 3", PreconditionError) // 2
+
+
 def fchr(n: int) -> Rational:
     """Free-choice ratio of the cycle of length n: 2 + 1/floor(n/2)."""
-    if n < 3:
-        raise InvalidInputError(f"cycles have length at least 3, got {n}")
-    return Fraction(2) + Fraction(1, n // 2)
+    return Fraction(2) + Fraction(1, _half(n))
 
 
 def is_free_choosable(a: int, b: int, n: int) -> bool:
@@ -106,11 +106,8 @@ def is_free_choosable(a: int, b: int, n: int) -> bool:
     Equivalent to a/b >= fchr(n), evaluated without division as
     floor(n/2) * (a - 2b) >= b.
     """
-    if a < 1 or b < 1:
-        raise InvalidInputError("a and b must be positive integers")
-    if n < 3:
-        raise InvalidInputError(f"cycles have length at least 3, got {n}")
-    return (n // 2) * (a - 2 * b) >= b
+    params = ChoiceParameters(a, b)
+    return _half(n) * params.e >= params.b
 
 
 def cycle_to_path(fi: FreeChoiceInstance) -> Instance:
@@ -165,17 +162,12 @@ def counterexample_list(a: int, b: int, n: int) -> FreeChoiceInstance:
     at or above the threshold is an error: no counterexample exists there.
     So is a < b, where the forced set cannot come from a list of size a.
     """
-    if n < 3:
-        raise PreconditionError(f"counterexamples exist for n >= 3 only, got n = {n}")
-    if a < 1 or b < 1:
-        raise PreconditionError("a and b must be positive integers")
+    if is_free_choosable(a, b, n):
+        raise PreconditionError(
+            f"a/b = {a}/{b} is not strictly below 2 + 1/{_half(n)}; no counterexample exists"
+        )
     if a < b:
         raise PreconditionError(f"a = {a} < b = {b}: the forced b-set does not fit in an a-list")
-    if (n // 2) * (a - 2 * b) >= b:
-        raise PreconditionError(
-            f"a/b = {a}/{b} is not strictly below 2 + 1/{n // 2}; "
-            "no counterexample exists"
-        )
     lists = []
     for i in range(n):
         if i <= 1 or n % 2:

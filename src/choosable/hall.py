@@ -34,6 +34,7 @@ from .model import (
     NotWaterfallError,
     PreconditionError,
     Weights,
+    _check_good,
     _is_waterfall,
     _Record,
     _set,
@@ -143,17 +144,10 @@ def decide_waterfall_prefix(
     """
     inst = _checked_waterfall(lists, weights)
     L, w = inst.lists, inst.weights
-    m = len(L)
-    for i in range(1, m - 1):
-        if len(L[i]) < w[i] + w[i + 1]:
-            raise PreconditionError(
-                f"interior vertex {i} has |L({i})| = {len(L[i])} "
-                f"< w({i}) + w({i + 1}) = {w[i] + w[i + 1]}"
-            )
-    if len(L[m - 1]) < w[m - 1]:
-        raise PreconditionError(
-            f"last vertex has |L({m - 1})| = {len(L[m - 1])} < w({m - 1}) = {w[m - 1]}"
-        )
+    _check_good(L, w)  # a NotGoodError is a PreconditionError
+    v = len(L) - 1
+    if len(L[v]) < w[v]:
+        raise PreconditionError(f"last vertex has |L({v})| = {len(L[v])} < w({v}) = {w[v]}")
     return _decide(inst)
 
 

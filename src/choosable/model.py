@@ -37,16 +37,16 @@ class InvalidInputError(ValueError):
     """Arguments violate a documented invariant of the operation."""
 
 
-class NotGoodError(InvalidInputError):
+class PreconditionError(InvalidInputError):
+    """A stated hypothesis of the operation does not hold for the input."""
+
+
+class NotGoodError(PreconditionError):
     """The list misses the good-list bound at an interior vertex."""
 
 
 class NotWaterfallError(InvalidInputError):
     """The list assignment is not in waterfall form."""
-
-
-class PreconditionError(InvalidInputError):
-    """A stated hypothesis of the operation does not hold for the input."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,6 +67,13 @@ class Topology(Enum):
     CYCLE = "cycle"
 
 
+def _int_at_least(value, least: int, message: str, error=InvalidInputError) -> int:
+    """``value`` if it is an int, not a bool, and at least ``least``; else ``error``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise error(f"{message}, got {value!r}")
+    return value
+
+
 def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
     """Coerce per-vertex color collections into a tuple of frozensets.
 
@@ -79,10 +86,7 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
         for color in colors:
             # the plain-int test alone passes nearly every color
             if type(color) is not int or color < 0:
-                if not isinstance(color, int) or isinstance(color, bool) or color < 0:
-                    raise InvalidInputError(
-                        f"colors must be non-negative integers, got {color!r}"
-                    )
+                _int_at_least(color, 0, "colors must be non-negative integers")
         out.append(colors)
     return tuple(out)
 
@@ -92,8 +96,7 @@ def as_weights(weights: Iterable[int]) -> Weights:
     for wv in out:
         # the plain-int test alone passes nearly every weight
         if type(wv) is not int or wv < 0:
-            if not isinstance(wv, int) or isinstance(wv, bool) or wv < 0:
-                raise InvalidInputError(f"weights must be non-negative integers, got {wv!r}")
+            _int_at_least(wv, 0, "weights must be non-negative integers")
     return out
 
 
@@ -266,11 +269,21 @@ def is_good(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> bool:
     w = as_weights(weights)
     if len(L) != len(w):
         raise InvalidInputError(f"{len(w)} weights for {len(L)} lists")
-    return _is_good(L, w)
+    try:
+        _check_good(L, w)
+    except NotGoodError:
+        return False
+    return True
 
 
-def _is_good(L: ListAssignment, w: Weights) -> bool:
-    return all(len(L[i]) >= w[i] + w[i + 1] for i in range(1, len(L) - 1))
+def _check_good(L: ListAssignment, w: Weights) -> None:
+    """Raise ``NotGoodError`` naming the first interior vertex off the good bound."""
+    for i in range(1, len(L) - 1):
+        if len(L[i]) < w[i] + w[i + 1]:
+            raise NotGoodError(
+                f"list is not good: interior vertex {i} has |L({i})| = {len(L[i])} "
+                f"< w({i}) + w({i + 1}) = {w[i] + w[i + 1]}"
+            )
 
 
 def is_waterfall(lists: Iterable[Iterable[int]]) -> bool:

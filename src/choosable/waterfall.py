@@ -37,8 +37,7 @@ from .model import (
     Instance,
     InvalidInputError,
     ListAssignment,
-    NotGoodError,
-    _is_good,
+    _check_good,
     _is_waterfall,
     _proper,
     _Record,
@@ -105,10 +104,7 @@ def to_waterfall(
     lists are rejected rather than processed best-effort.
     """
     inst = Instance.path(weights, lists)
-    if not _is_good(inst.lists, inst.weights):
-        raise NotGoodError(
-            "list is not good: some interior vertex has |L(i)| < w(i) + w(i+1)"
-        )
+    _check_good(inst.lists, inst.weights)
     report = _plan(inst.lists)
     result = tuple(frozenset(colors) for colors in _replay(inst.lists, report))
     if not _is_waterfall(result):
@@ -216,9 +212,17 @@ def pull_back_coloring(
     between v-1 and v, which x's run covers, so only v-2 and v-1 can then
     share x.  That z exists by the good bound |L(v)| >= w(v) + w(v+1): c(v)
     and c(v+1) share x, so they hold at most w(v) + w(v+1) - 1 colors.
+
+    So a list that is not good raises ``NotGoodError``.  ``report`` must be
+    the one ``to_waterfall`` returned for these lists and weights; only its
+    events' vertex ranges are checked.
     """
     original = Instance.path(weights, original_lists)
     L = original.lists
+    _check_good(L, original.weights)
+    for ev in report.run_renames + report.replacements:
+        if not 0 <= ev.start <= ev.end < len(L):
+            raise InvalidInputError(f"report event {ev!r} is off vertices 0..{len(L) - 1}")
     c = [set(entry) for entry in c_waterfall]
     if not _proper(_replay(L, report), original.weights, c, original.edges()):
         raise InvalidInputError("coloring is not valid for the transformed list")

@@ -3,26 +3,36 @@
 Every public operation on a path coerces its lists through ``Instance`` (or
 ``as_lists``) exactly once, whatever type the lists arrive in, and hands
 the checked tuples inward; nothing below an entry point coerces again.
+Scalar parameters and the good-list bound each have one check that every
+entry shares, so they fail alike wherever they enter.
 """
 
+import re
 import sys
 
 import pytest
 
 import choosable
 from choosable import (
+    ChoiceParameters,
     FreeChoiceInstance,
     Instance,
     InvalidInputError,
+    NotGoodError,
+    PreconditionError,
     TransformReport,
     alpha_path,
     amplitude,
     construct_coloring_general,
     construct_coloring_waterfall,
+    counterexample_list,
     decide_waterfall,
     decide_waterfall_prefix,
+    endpoint_threshold,
+    fchr,
     hall_check_path,
     hall_summands,
+    is_free_choosable,
     is_good,
     is_waterfall,
     pull_back_coloring,
@@ -58,6 +68,79 @@ def test_forced_true_is_no_color():
     # True equals 1, so a subset test against a list holding 1 lets it through
     with pytest.raises(InvalidInputError, match="non-negative integers"):
         FreeChoiceInstance(Instance.cycle((1, 1, 1), [{0, 1}] * 3), 0, {True})
+
+
+SCALARS = {
+    "ChoiceParameters(True, 1)": (
+        lambda: ChoiceParameters(True, 1),
+        "a must be a positive integer, got True",
+    ),
+    "ChoiceParameters(2.5, 1)": (
+        lambda: ChoiceParameters(2.5, 1),
+        "a must be a positive integer, got 2.5",
+    ),
+    "ChoiceParameters(3, 0)": (
+        lambda: ChoiceParameters(3, 0),
+        "b must be a positive integer, got 0",
+    ),
+    "is_free_choosable(5.5, 2, 4)": (
+        lambda: is_free_choosable(5.5, 2, 4),
+        "a must be a positive integer, got 5.5",
+    ),
+    "is_free_choosable(5, 2, True)": (
+        lambda: is_free_choosable(5, 2, True),
+        "cycle length n must be an integer >= 3, got True",
+    ),
+    "endpoint_threshold(ChoiceParameters(5, 2), 3.5)": (
+        lambda: endpoint_threshold(ChoiceParameters(5, 2), 3.5),
+        "n must be a non-negative integer, got 3.5",
+    ),
+    "fchr(4.5)": (
+        lambda: fchr(4.5),
+        "cycle length n must be an integer >= 3, got 4.5",
+    ),
+    'FreeChoiceInstance("x", 0, {1})': (
+        lambda: FreeChoiceInstance("x", 0, {1}),
+        "free choice instances are rooted in cycles",
+    ),
+    "counterexample_list(4.0, 2, 4)": (
+        lambda: counterexample_list(4.0, 2, 4),
+        "a must be a positive integer, got 4.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SCALARS))
+def test_scalar_parameters_are_checked(call):
+    run, message = SCALARS[call]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run()
+
+
+def test_short_cycle_is_a_precondition():
+    message = "cycle length n must be an integer >= 3, got 2"
+    for call in (lambda: fchr(2), lambda: counterexample_list(4, 2, 2)):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# good except at vertex 2, and in waterfall form for the prefix decider
+NOT_GOOD = L({1}, {1, 2}, {3}, {3, 4}, {5})
+GOOD_BOUND_ENTRIES = {
+    "to_waterfall": lambda w: to_waterfall(NOT_GOOD, w),
+    "decide_waterfall_prefix": lambda w: decide_waterfall_prefix(NOT_GOOD, w),
+    "pull_back_coloring": lambda w: pull_back_coloring(
+        TransformReport(), L({1}, {2}, {3}, {4}, {5}), NOT_GOOD, w
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GOOD_BOUND_ENTRIES))
+def test_good_bound_names_the_first_vertex_off_it(entry):
+    message = "list is not good: interior vertex 2 has |L(2)| = 1 < w(2) + w(3) = 2"
+    assert not is_good(NOT_GOOD, (1,) * 5)
+    with pytest.raises(NotGoodError, match=f"^{re.escape(message)}$"):
+        GOOD_BOUND_ENTRIES[entry]((1,) * 5)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -141,10 +142,11 @@ class TestFreeChoiceInstance:
         with pytest.raises(InvalidInputError):
             FreeChoiceInstance(cyc, 3, frozenset({1}))
 
-    @pytest.mark.parametrize("v0", [1.0, "1", True, None])
+    @pytest.mark.parametrize("v0", [1.0, "1", True, None, -1])
     def test_v0_must_be_a_plain_integer(self, v0):
         cyc = Instance.cycle((1, 1, 1), L({1, 2}, {1, 2}, {1, 2, 3}))
-        with pytest.raises(InvalidInputError, match="v0 must be an integer"):
+        message = f"v0 must be a non-negative integer, got {v0!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             FreeChoiceInstance(cyc, v0, frozenset({1}))
 
 

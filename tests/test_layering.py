@@ -7,7 +7,10 @@ checked artifact of the paper; the waterfall transform in turn uses only
 the model, so its pull-back cannot borrow a decider it is checked against
 (re-running the greedy would pass every validity check); and the reference
 interval scan in ``tests/helpers.py`` must not borrow from the Hall
-deciders it checks.
+deciders it checks.  Each input hypothesis is written out in one place: the
+integer test that excludes bools lives in ``model._int_at_least`` (and in
+``cli._int_value``, whose parse-error wording is its own), and the good-list
+bound ``|L(i)| >= w(i) + w(i+1)`` in ``model._check_good``.
 """
 
 import ast
@@ -74,3 +77,56 @@ def test_reference_scan_stays_off_hall():
                     names.add(getattr(value, "__module__", None) or value.__name__)
     assert "choosable" in names  # the walk sees the package import
     assert not any(name and name.startswith("choosable.hall") for name in names), names
+
+
+def functions_where(test):
+    """(module, function) of each node of a package function that passes ``test``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [(path.stem, func.name) for node in ast.walk(func) if test(node)]
+    return found
+
+
+def excludes_bool(node):
+    """An ``or``/``and`` of ``isinstance(value, int)`` and ``isinstance(value, bool)``.
+
+    That is the integer test; ``isinstance(value, bool)`` alone asks for a bool.
+    """
+    if not isinstance(node, ast.BoolOp):
+        return False
+    types = set()
+    for value in node.values:
+        if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.Not):
+            value = value.operand
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "isinstance":
+            types.add(getattr(value.args[1], "id", None))
+    return {"int", "bool"} <= types
+
+
+def compares_good_bound(node):
+    """A comparison against ``w[i] + w[j]``: two entries of one sequence."""
+    if not isinstance(node, ast.Compare):
+        return False
+    for side in [node.left, *node.comparators]:
+        if (
+            isinstance(side, ast.BinOp)
+            and isinstance(side.op, ast.Add)
+            and all(isinstance(term, ast.Subscript) for term in (side.left, side.right))
+            and ast.dump(side.left.value) == ast.dump(side.right.value)
+        ):
+            return True
+    return False
+
+
+def test_integer_test_has_one_owner():
+    assert sorted(functions_where(excludes_bool)) == [
+        ("cli", "_int_value"),
+        ("model", "_int_at_least"),
+    ]
+
+
+def test_good_bound_has_one_owner():
+    assert functions_where(compares_good_bound) == [("model", "_check_good")]

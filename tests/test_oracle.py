@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -53,12 +54,14 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("max_nodes", [2.5, 3.0, "3", True, None])
     def test_budget_must_be_a_plain_integer(self, max_nodes):
-        with pytest.raises(InvalidInputError, match="max_nodes must be an integer"):
+        message = f"max_nodes must be a positive integer, got {max_nodes!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             SearchBudget(max_nodes)
 
     @pytest.mark.parametrize("max_nodes", [0, -1])
     def test_budget_must_be_positive(self, max_nodes):
-        with pytest.raises(InvalidInputError, match="max_nodes must be positive"):
+        message = f"max_nodes must be a positive integer, got {max_nodes}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             SearchBudget(max_nodes)
 
     def test_long_path_needs_no_recursion(self):

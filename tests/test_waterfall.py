@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -235,6 +236,25 @@ class TestPullBack:
         _, report = to_waterfall(lists, (1, 1, 1))
         with pytest.raises(InvalidInputError):
             pull_back_coloring(report, L({1}, {1}, {4}), lists, (1, 1, 1))
+
+    def test_rejects_non_good_list(self):
+        # the repair's swap color exists only under the good bound
+        report = TransformReport(replacements=(ColorRename(2, 4, 2, 2),))
+        message = "list is not good: interior vertex 1 has |L(1)| = 1 < w(1) + w(2) = 3"
+        with pytest.raises(NotGoodError, match=f"^{re.escape(message)}$"):
+            pull_back_coloring(report, [{0}, {2}, {3, 4}], [[0, 1, 2], [2], [2, 3]], (1, 1, 2))
+
+    @pytest.mark.parametrize(
+        "event",
+        [ColorRename(1, 9, 2, 10**9), ColorRename(1, 9, -1, 0), ColorRename(1, 9, 2, 1)],
+        ids=["past-the-end", "negative-start", "empty"],
+    )
+    @pytest.mark.parametrize("stage", ["run_renames", "replacements"])
+    def test_rejects_report_event_off_the_path(self, stage, event):
+        report = TransformReport(**{stage: (event,)})
+        message = f"report event {event!r} is off vertices 0..2"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            pull_back_coloring(report, [{1}, {2}, {3}], [{1}, {1, 2}, {1, 3}], (1, 1, 1))
 
     def test_every_waterfall_coloring_pulls_back(self):
         # enumerate every coloring of the transformed list, not only the
