@@ -5,8 +5,10 @@ from the pinned vertex around the cycle, candidate subsets of each list in
 lexicographic order, pruning only on adjacent disjointness (the wrap edge of
 a cycle is checked at the last vertex visited, against the first).  Deliberately
 independent of the interval machinery so the two routes can check each
-other.  A node budget turns runaway searches into an explicit error rather
-than a silent wrong answer.
+other.  Each vertex on the current branch draws its candidates lazily, so
+memory grows with the path length and the colors in play, not with
+C(|L(v)|, w(v)), and the node budget bounds both time and memory: a runaway
+search ends in an explicit error rather than a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -61,53 +63,46 @@ def _search(
 ) -> Decision:
     m = inst.n_vertices
     start = pinned[0] if pinned is not None else 0
+    lists, weights = inst.lists, inst.weights
 
     # color sets as bitmasks, one bit per color in play whatever its value;
-    # candidates, chosen and masks are indexed by position in visiting order
-    bit = {c: 1 << k for k, c in enumerate(frozenset().union(*inst.lists))}
-    candidates = []
-    for v in (*range(start, m), *range(start)):
-        if pinned is not None and v == start:
-            combos = [tuple(sorted(pinned[1]))]
-        else:
-            combos = itertools.combinations(sorted(inst.lists[v]), inst.weights[v])
-        row = []
-        for combo in combos:
-            mask = 0
-            for c in combo:
-                mask |= bit[c]
-            row.append((mask, combo))
-        candidates.append(row)
-
+    # chosen and masks are indexed by position in visiting order
+    bit = {c: 1 << k for k, c in enumerate(frozenset().union(*lists))}
     wrap = inst.topology is Topology.CYCLE
     chosen: list[tuple[int, ...]] = [()] * m
     masks = [0] * m
     cap = budget.max_nodes
     nodes = 0
 
-    # one iterator over the candidates of each vertex on the current branch
-    stack = [iter(candidates[0])]
+    # one lazy iterator over the candidate subsets of each vertex on the
+    # current branch; the pinned vertex's only candidate is its forced set
+    first = pinned[1] if pinned is not None else lists[0]
+    stack = [itertools.combinations(sorted(first), weights[start])]
     while stack:
-        v = len(stack) - 1
-        prev_mask = masks[v - 1] if v else 0
-        last = v == m - 1
-        for mask, combo in stack[-1]:
+        k = len(stack) - 1
+        prev_mask = masks[k - 1] if k else 0
+        last = k == m - 1
+        for combo in stack[-1]:
             nodes += 1
             if nodes > cap:
                 raise BudgetExceededError(nodes, cap)
+            mask = 0
+            for c in combo:
+                mask |= bit[c]
             if mask & prev_mask:
                 continue
             if last and wrap and mask & masks[0]:
                 continue
-            chosen[v] = combo
-            masks[v] = mask
+            chosen[k] = combo
+            masks[k] = mask
             break
         else:
             stack.pop()
             continue
         if last:
-            coloring = tuple(frozenset(chosen[(u - start) % m]) for u in range(m))
+            coloring = tuple(frozenset(chosen[(v - start) % m]) for v in range(m))
             return Decision(True, coloring=coloring)
-        stack.append(iter(candidates[v + 1]))
-    summary = Certificate(0, m - 1, len(bit), sum(inst.weights))
+        v = (start + k + 1) % m
+        stack.append(itertools.combinations(sorted(lists[v]), weights[v]))
+    summary = Certificate(0, m - 1, len(bit), sum(weights))
     return Decision(False, certificate=summary)

@@ -214,8 +214,10 @@ def pull_back_coloring(
     and c(v+1) share x, so they hold at most w(v) + w(v+1) - 1 colors.
 
     So a list that is not good raises ``NotGoodError``.  ``report`` must be
-    the one ``to_waterfall`` returned for these lists and weights; only its
-    events' vertex ranges are checked.
+    the one ``to_waterfall`` returned for these lists and weights: its events'
+    vertex ranges are checked up front, and where the pull-back fails, a
+    report that is not the transform of these lists raises
+    ``InvalidInputError``.
     """
     original = Instance.path(weights, original_lists)
     L = original.lists
@@ -235,12 +237,22 @@ def pull_back_coloring(
             if z is None:
                 swap = (c[v - 1] & L[v]) - c[v] - c[v + 1]
                 if not swap:
-                    raise InternalInvariantError(f"no swap color for {x} at vertex {v}")
+                    raise _failure(L, report, f"no swap color for {x} at vertex {v}")
                 z = min(swap)
                 c[v - 1] ^= {x, z}
             c[v] ^= {x, z}
 
     result = tuple(frozenset(entry) for entry in c)
     if not validate_coloring(original, result):
-        raise InternalInvariantError("pulled-back coloring is invalid for the original list")
+        raise _failure(L, report, "pulled-back coloring is invalid for the original list")
     return result
+
+
+def _failure(L: ListAssignment, report: TransformReport, message: str) -> Exception:
+    """Bad input if ``report`` is not the plan of ``L``, else a broken invariant.
+
+    Only a failed pull-back re-plans, so a valid report costs nothing extra.
+    """
+    if _plan(L) != report:
+        return InvalidInputError("report is not the transform of these lists")
+    return InternalInvariantError(message)

@@ -217,6 +217,15 @@ class TestMain:
         assert rc == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_oracle_budget_exit_two_on_wide_lists(self, tmp_path, capsys):
+        # C(20, 10) candidates a vertex: the budget ends the run, not memory
+        doc = json.dumps({"graph": "path", "weights": [10, 10], "lists": [list(range(20))] * 2})
+        rc = main(["oracle", "--budget", "1000", self._doc(tmp_path, doc)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search budget exceeded after 1001 nodes (cap 1000)\n"
+
     def test_waterfall_subcommand(self, tmp_path, capsys):
         doc = '{"graph":"path","weights":[1,1,1],"lists":[[1],[1,2],[1,3]]}'
         rc = main(["waterfall", self._doc(tmp_path, doc)])

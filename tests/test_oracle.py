@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -63,6 +65,56 @@ class TestBruteForce:
         message = f"max_nodes must be a positive integer, got {max_nodes}"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             SearchBudget(max_nodes)
+
+    def test_budget_caps_memory_on_wide_lists(self):
+        # C(20, 10) = 184,756 candidates a vertex: drawn lazily, only the
+        # nodes visited before the budget trips cost anything
+        inst = Instance.path((10, 10), [range(20)] * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                brute_force(inst, SearchBudget(1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.nodes == 1001
+        assert peak < 4 * 2**20
+
+    def test_outcomes_golden(self):
+        # a seeded corpus of paths, plain cycles and pinned cycles of 1-6
+        # vertices, each under small node caps and the default budget: the
+        # decision, the first coloring, the certificate and the node count
+        # where each cap trips are pinned by one digest
+        rng = random.Random(5)
+        outcomes = []
+        for _ in range(2000):
+            m = rng.randint(1, 6)
+            kind = rng.choice(("path", "cycle", "pinned")) if m >= 3 else "path"
+            palette = rng.sample([0, 1, 2, 3, 5, 8, 2**40], rng.randint(1, 7))
+            lists = [rng.sample(palette, rng.randint(0, len(palette))) for _ in range(m)]
+            w = [rng.randint(0, min(3, len(entry) + 1)) for entry in lists]
+            if kind == "path":
+                inst, search = Instance.path(w, lists), brute_force
+            elif kind == "cycle":
+                inst, search = Instance.cycle(w, lists), brute_force
+            else:
+                v0 = rng.randrange(m)
+                w[v0] = min(w[v0], len(lists[v0]))
+                forced = rng.sample(lists[v0], w[v0])
+                inst = FreeChoiceInstance(Instance.cycle(w, lists), v0, forced)
+                search = brute_force_forced
+            for cap in (1, 2, 5, 10, None):
+                try:
+                    d = search(inst, SearchBudget(cap) if cap else None)
+                except BudgetExceededError as exc:
+                    outcomes.append(("budget", exc.nodes, exc.max_nodes))
+                    continue
+                coloring = d.coloring and tuple(tuple(sorted(entry)) for entry in d.coloring)
+                cert = d.certificate
+                cert = cert and (cert.i, cert.j, cert.amplitude_size, cert.demand)
+                outcomes.append((d.colorable, coloring, cert))
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "62c3cf2dc1f8d003136237b91839a5b80a24d4dee21d8678ef44710fa2512038"
 
     def test_long_path_needs_no_recursion(self):
         w, lists = planted_good_path(1, 1200)

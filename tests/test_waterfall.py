@@ -244,9 +244,21 @@ class TestPullBack:
         with pytest.raises(NotGoodError, match=f"^{re.escape(message)}$"):
             pull_back_coloring(report, [{0}, {2}, {3, 4}], [[0, 1, 2], [2], [2, 3]], (1, 1, 2))
 
+    def test_forged_report_is_bad_input(self):
+        # events in range, but not the transform of these lists: the
+        # pulled-back coloring fails, and the re-plan blames the report
+        report = TransformReport(
+            run_renames=(ColorRename(2, 5, 0, 1),),
+            relabel_map=((0, 1),),
+            replacements=(ColorRename(0, 5, 0, 0),),
+        )
+        message = "report is not the transform of these lists"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            pull_back_coloring(report, [{4}, {1}], [{0, 3, 4}, {1, 2, 3}], (1, 1))
+
     @pytest.mark.parametrize(
         "event",
-        [ColorRename(1, 9, 2, 10**9), ColorRename(1, 9, -1, 0), ColorRename(1, 9, 2, 1)],
+        [ColorRename(1, 9, 2, 10**9),ColorRename(1, 9, -1, 0), ColorRename(1, 9, 2, 1)],
         ids=["past-the-end", "negative-start", "empty"],
     )
     @pytest.mark.parametrize("stage", ["run_renames", "replacements"])
