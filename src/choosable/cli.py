@@ -24,7 +24,6 @@ import warnings
 from typing import Any
 
 from .cycles import (
-    FreeChoiceInstance,
     counterexample_list,
     fchr,
     is_free_choosable,
@@ -36,6 +35,7 @@ from .model import (
     Certificate,
     Coloring,
     Decision,
+    FreeChoiceInstance,
     Instance,
     InternalInvariantError,
     InvalidInputError,

@@ -18,15 +18,14 @@ from fractions import Fraction
 from .hall import _decide
 from .model import (
     Decision,
+    FreeChoiceInstance,
     Instance,
     InvalidInputError,
     PreconditionError,
     Rational,
-    Topology,
     _int_at_least,
     _Record,
     _set,
-    as_lists,
 )
 
 
@@ -42,29 +41,6 @@ class ChoiceParameters(_Record):
     @property
     def e(self) -> int:
         return self.a - 2 * self.b
-
-
-class FreeChoiceInstance(_Record):
-    """A cycle instance with the color set of one vertex pinned in advance."""
-
-    __slots__ = ("cycle", "v0", "forced")
-
-    def __init__(self, cycle: Instance, v0: int, forced: frozenset[int]) -> None:
-        (forced,) = as_lists((forced,))
-        if not isinstance(cycle, Instance) or cycle.topology is not Topology.CYCLE:
-            raise InvalidInputError("free choice instances are rooted in cycles")
-        if _int_at_least(v0, 0, "v0 must be a non-negative integer") >= cycle.n_vertices:
-            raise InvalidInputError(f"v0 = {v0} out of range")
-        if len(forced) != cycle.weights[v0]:
-            raise InvalidInputError(
-                f"forced set has {len(forced)} colors, vertex {v0} "
-                f"demands {cycle.weights[v0]}"
-            )
-        if not forced <= cycle.lists[v0]:
-            raise InvalidInputError("forced colors must come from the list at v0")
-        _set(self, "cycle", cycle)
-        _set(self, "v0", v0)
-        _set(self, "forced", forced)
 
 
 def even_ceil(x: Rational | int) -> int:
@@ -137,9 +113,10 @@ def solve_free_choice(fi: FreeChoiceInstance) -> Decision:
     Decides the path reduction by the route of ``hall_check_path``; on
     success the alias vertex is dropped and the path coloring rotated back
     onto the cycle, on failure the path certificate is returned as is: its
-    i..j index the cut path, whose vertex p is (v0 + p) mod n and n is v0.  Both
-    path ends carry exactly the forced set, so a proper path coloring is a
-    proper cycle coloring that keeps the pin; that route has validated it.
+    i..j index the cut path, whose vertex p is (v0 + p) mod n and n is v0.  The
+    path coloring is proper by construction, and both path ends carry the
+    forced set as their whole list, so each takes exactly that set: the
+    rotated coloring is proper on the wrap edge too and keeps the pin.
     """
     decision = _decide(cycle_to_path(fi))
     if not decision.colorable:

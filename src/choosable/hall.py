@@ -29,17 +29,16 @@ from .model import (
     Decision,
     InternalInvariantError,
     Instance,
-    InvalidInputError,
     ListAssignment,
     NotWaterfallError,
     PreconditionError,
     Weights,
     _check_good,
+    _check_interval,
     _is_waterfall,
     _Record,
     _set,
     as_lists,
-    validate_coloring,
 )
 
 
@@ -75,8 +74,7 @@ def _alphas(L: ListAssignment, i: int, j: int) -> dict[int, int]:
 
     A run grown to odd length r adds one more unit: ceil(r / 2) in all.
     """
-    if not 0 <= i <= j < len(L):
-        raise InvalidInputError(f"interval ({i}, {j}) out of range for {len(L)} vertices")
+    _check_interval(i, j, len(L))
     alpha: dict[int, int] = {}
     run: dict[int, int] = {}
     for v in range(i, j + 1):
@@ -106,14 +104,17 @@ def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> D
 
 
 def _decide(inst: Instance) -> Decision:
-    """The greedy's coloring, or the certificate it names where it runs short."""
+    """The greedy's coloring, or the certificate it names where it runs short.
+
+    The coloring is proper by construction (see ``_greedy``), so it is
+    returned unchecked.
+    """
     found = _greedy(inst.lists, inst.weights)
     if isinstance(found, Certificate):
         return Decision(False, certificate=found)
     if found is None:
+        # Hall's condition on every subpath is sufficient on a path
         raise InternalInvariantError("the greedy ran short with no violated subpath ending there")
-    if not validate_coloring(inst, found):
-        raise InternalInvariantError("the greedy's coloring is not proper")
     return Decision(True, coloring=found)
 
 
@@ -172,6 +173,8 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
     those alone, and a vertex whose colors of the first class number at
     least w(v) takes the smallest of them without ranking the others.
 
+    Each vertex takes exactly w(v) colors of its own list, none of them in
+    c(v-1), so a full pass is a proper coloring with nothing left to check.
     When vertex v runs short, vertices 0..v-1 are properly colored, so no
     violated subpath ends before v.  The return value is then the violated
     subpath ending at v with the smallest left end, or None if there is

@@ -81,18 +81,24 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
     Every color must be a non-negative integer, whatever the input's type.
     """
     out = []
-    for entry in lists:
-        colors = frozenset(entry)
-        for color in colors:
-            # the plain-int test alone passes nearly every color
-            if type(color) is not int or color < 0:
-                _int_at_least(color, 0, "colors must be non-negative integers")
-        out.append(colors)
+    try:
+        for entry in lists:
+            colors = frozenset(entry)
+            for color in colors:
+                # the plain-int test alone passes nearly every color
+                if type(color) is not int or color < 0:
+                    _int_at_least(color, 0, "colors must be non-negative integers")
+            out.append(colors)
+    except TypeError as exc:
+        raise InvalidInputError(f"lists must be collections of colors: {exc}") from None
     return tuple(out)
 
 
 def as_weights(weights: Iterable[int]) -> Weights:
-    out = tuple(weights)
+    try:
+        out = tuple(weights)
+    except TypeError as exc:
+        raise InvalidInputError(f"weights must be a collection of integers: {exc}") from None
     for wv in out:
         # the plain-int test alone passes nearly every weight
         if type(wv) is not int or wv < 0:
@@ -172,11 +178,11 @@ class Instance(_Record):
 
     @classmethod
     def path(cls, weights: Iterable[int], lists: Iterable[Iterable[int]]) -> Instance:
-        return cls(Topology.PATH, tuple(weights), tuple(lists))
+        return cls(Topology.PATH, weights, lists)
 
     @classmethod
     def cycle(cls, weights: Iterable[int], lists: Iterable[Iterable[int]]) -> Instance:
-        return cls(Topology.CYCLE, tuple(weights), tuple(lists))
+        return cls(Topology.CYCLE, weights, lists)
 
     @property
     def n_vertices(self) -> int:
@@ -188,6 +194,29 @@ class Instance(_Record):
             yield v, v + 1
         if self.topology is Topology.CYCLE and n > 1:
             yield n - 1, 0
+
+
+class FreeChoiceInstance(_Record):
+    """A cycle instance with the color set of one vertex pinned in advance."""
+
+    __slots__ = ("cycle", "v0", "forced")
+
+    def __init__(self, cycle: Instance, v0: int, forced: frozenset[int]) -> None:
+        (forced,) = as_lists((forced,))
+        if not isinstance(cycle, Instance) or cycle.topology is not Topology.CYCLE:
+            raise InvalidInputError("free choice instances are rooted in cycles")
+        if _int_at_least(v0, 0, "v0 must be a non-negative integer") >= cycle.n_vertices:
+            raise InvalidInputError(f"v0 = {v0} out of range")
+        if len(forced) != cycle.weights[v0]:
+            raise InvalidInputError(
+                f"forced set has {len(forced)} colors, vertex {v0} "
+                f"demands {cycle.weights[v0]}"
+            )
+        if not forced <= cycle.lists[v0]:
+            raise InvalidInputError("forced colors must come from the list at v0")
+        _set(self, "cycle", cycle)
+        _set(self, "v0", v0)
+        _set(self, "forced", forced)
 
 
 class Certificate(_Record):
@@ -242,7 +271,10 @@ def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool
 
 def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> bool:
     """``validate_coloring`` on lists and weights already checked."""
-    c = tuple(frozenset(entry) for entry in coloring)
+    try:
+        c = tuple(frozenset(entry) for entry in coloring)
+    except TypeError as exc:
+        raise InvalidInputError(f"a coloring must be collections of colors: {exc}") from None
     if len(c) != len(L):
         raise InvalidInputError(f"coloring has {len(c)} entries for {len(L)} vertices")
     for v in range(len(L)):
@@ -254,9 +286,15 @@ def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> bool:
 def amplitude(lists: Iterable[Iterable[int]], i: int, j: int) -> frozenset[int]:
     """Union of the lists of vertices ``i..j`` (inclusive)."""
     L = as_lists(lists)
-    if not 0 <= i <= j < len(L):
-        raise InvalidInputError(f"interval ({i}, {j}) out of range for {len(L)} vertices")
+    _check_interval(i, j, len(L))
     return frozenset().union(*L[i : j + 1])
+
+
+def _check_interval(i, j, m: int) -> None:
+    """Raise ``InvalidInputError`` unless the ends are integers, ``0 <= i <= j < m``."""
+    message = f"interval ({i!r}, {j!r}) out of range for {m} vertices"
+    if not _int_at_least(i, 0, message) <= _int_at_least(j, 0, message) < m:
+        raise InvalidInputError(message)
 
 
 def is_good(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> bool:

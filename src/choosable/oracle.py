@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 
-from .cycles import FreeChoiceInstance
 from .model import (
     BudgetExceededError,
     Certificate,
     Decision,
+    FreeChoiceInstance,
     Instance,
     Topology,
     _int_at_least,

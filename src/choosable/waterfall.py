@@ -38,7 +38,7 @@ from .model import (
     InvalidInputError,
     ListAssignment,
     _check_good,
-    _is_waterfall,
+    _check_interval,
     _proper,
     _Record,
     _set,
@@ -102,14 +102,16 @@ def to_waterfall(
     Raises ``NotGoodError`` when the good-list bound fails somewhere: the
     backward direction of the similarity argument needs it, so non-good
     lists are rejected rather than processed best-effort.
+
+    The result is in waterfall form by construction, so it is returned
+    unchecked: stage 1 leaves each color on one run of vertices, and stage
+    3 cuts every run of three or more vertices into labels that each cover
+    at most two consecutive vertices.
     """
     inst = Instance.path(weights, lists)
     _check_good(inst.lists, inst.weights)
     report = _plan(inst.lists)
-    result = tuple(frozenset(colors) for colors in _replay(inst.lists, report))
-    if not _is_waterfall(result):
-        raise InternalInvariantError("transform produced a non-waterfall list")
-    return result, report
+    return tuple(frozenset(colors) for colors in _replay(inst.lists, report)), report
 
 
 def _plan(L: ListAssignment) -> TransformReport:
@@ -223,8 +225,7 @@ def pull_back_coloring(
     L = original.lists
     _check_good(L, original.weights)
     for ev in report.run_renames + report.replacements:
-        if not 0 <= ev.start <= ev.end < len(L):
-            raise InvalidInputError(f"report event {ev!r} is off vertices 0..{len(L) - 1}")
+        _check_interval(ev.start, ev.end, len(L))
     c = [set(entry) for entry in c_waterfall]
     if not _proper(_replay(L, report), original.weights, c, original.edges()):
         raise InvalidInputError("coloring is not valid for the transformed list")
@@ -251,7 +252,10 @@ def pull_back_coloring(
 def _failure(L: ListAssignment, report: TransformReport, message: str) -> Exception:
     """Bad input if ``report`` is not the plan of ``L``, else a broken invariant.
 
-    Only a failed pull-back re-plans, so a valid report costs nothing extra.
+    With the plan of ``L`` the pull-back cannot fail: the good bound makes
+    every swap color exist, and the sweep then leaves no two labels of one
+    run meeting.  Only a failed pull-back re-plans, so a valid report costs
+    nothing extra.
     """
     if _plan(L) != report:
         return InvalidInputError("report is not the transform of these lists")

@@ -3,8 +3,9 @@
 Every public operation on a path coerces its lists through ``Instance`` (or
 ``as_lists``) exactly once, whatever type the lists arrive in, and hands
 the checked tuples inward; nothing below an entry point coerces again.
-Scalar parameters and the good-list bound each have one check that every
-entry shares, so they fail alike wherever they enter.
+Scalar parameters, interval ends and the good-list bound each have one
+check that every entry shares, so they fail alike wherever they enter, and
+a container of the wrong shape is invalid input like a bad color.
 """
 
 import re
@@ -15,6 +16,7 @@ import pytest
 import choosable
 from choosable import (
     ChoiceParameters,
+    ColorRename,
     FreeChoiceInstance,
     Instance,
     InvalidInputError,
@@ -38,6 +40,7 @@ from choosable import (
     pull_back_coloring,
     solve_free_choice,
     to_waterfall,
+    validate_coloring,
 )
 from helpers import L
 
@@ -70,6 +73,7 @@ def test_forced_true_is_no_color():
         FreeChoiceInstance(Instance.cycle((1, 1, 1), [{0, 1}] * 3), 0, {True})
 
 
+THREE = L({1}, {1, 2}, {1, 3})
 SCALARS = {
     "ChoiceParameters(True, 1)": (
         lambda: ChoiceParameters(True, 1),
@@ -107,6 +111,32 @@ SCALARS = {
         lambda: counterexample_list(4.0, 2, 4),
         "a must be a positive integer, got 4.0",
     ),
+    # True equals 1, so a range test alone lets it through as an interval end
+    "alpha_path(L, True, 1, 1)": (
+        lambda: alpha_path(THREE, True, 1, 1),
+        "interval (True, 1) out of range for 3 vertices, got True",
+    ),
+    "alpha_path(L, 0.5, 1, 1)": (
+        lambda: alpha_path(THREE, 0.5, 1, 1),
+        "interval (0.5, 1) out of range for 3 vertices, got 0.5",
+    ),
+    "amplitude(L, 0, 1.0)": (
+        lambda: amplitude(THREE, 0, 1.0),
+        "interval (0, 1.0) out of range for 3 vertices, got 1.0",
+    ),
+    "hall_summands(L, 2, 1)": (
+        lambda: hall_summands(THREE, 2, 1),
+        "interval (2, 1) out of range for 3 vertices",
+    ),
+    "pull_back_coloring(ColorRename(1, 9, 0.5, 1))": (
+        lambda: pull_back_coloring(
+            TransformReport(replacements=(ColorRename(1, 9, 0.5, 1),)),
+            L({1}, {2}, {3}),
+            THREE,
+            (1, 1, 1),
+        ),
+        "interval (0.5, 1) out of range for 3 vertices, got 0.5",
+    ),
 }
 
 
@@ -114,6 +144,38 @@ SCALARS = {
 def test_scalar_parameters_are_checked(call):
     run, message = SCALARS[call]
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        run()
+
+
+SHAPES = {
+    "Instance.path([1], [5])": (
+        lambda: Instance.path([1], [5]),
+        "lists must be collections of colors",
+    ),
+    "Instance.path([1], [[[1]]])": (
+        lambda: Instance.path([1], [[[1]]]),
+        "lists must be collections of colors",
+    ),
+    "Instance.path(5, [[1]])": (
+        lambda: Instance.path(5, [[1]]),
+        "weights must be a collection of integers",
+    ),
+    "FreeChoiceInstance(cycle, 0, 5)": (
+        lambda: FreeChoiceInstance(Instance.cycle((1, 1, 1), [{0, 1}] * 3), 0, 5),
+        "lists must be collections of colors",
+    ),
+    "validate_coloring(inst, [[[1]]])": (
+        lambda: validate_coloring(Instance.path([1], [[1]]), [[[1]]]),
+        "a coloring must be collections of colors",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SHAPES))
+def test_container_shape_is_checked(call):
+    # Python's own TypeError text follows the prefix
+    run, prefix = SHAPES[call]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(prefix)}: "):
         run()
 
 

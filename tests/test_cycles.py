@@ -228,7 +228,11 @@ class TestSolveFreeChoice:
             v0 = rng.randrange(n)
             forced = frozenset(rng.sample(sorted(lists[v0]), b))
             fi = FreeChoiceInstance(Instance.cycle((b,) * n, lists), v0, forced)
-            assert solve_free_choice(fi).colorable == brute_force_forced(fi).colorable
+            d = solve_free_choice(fi)
+            assert d.colorable == brute_force_forced(fi).colorable
+            if d.colorable:
+                assert validate_coloring(fi.cycle, d.coloring)
+                assert d.coloring[v0] == forced
 
 
 class TestCounterexampleList:

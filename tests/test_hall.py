@@ -353,13 +353,16 @@ class TestGreedy:
             w = tuple(rng.randint(0, top) for _ in range(m))
             found = _greedy(lists, w)
             assert found == reference_greedy(lists, w), (lists, w)
-            colorable += not isinstance(found, Certificate)
+            if not isinstance(found, Certificate):
+                # the deciders return the greedy's coloring unchecked
+                assert validate_coloring(Instance.path(w, lists), found), (lists, w)
+                colorable += 1
         assert 1_500 < colorable < 4_500
         for seed, weight, size in ((0, 2, 6), (1, 1, 3), (2, 3, 7), (3, 2, 4)):
             inst = Instance.path(*planted_good_path(seed, 900, weight, size))
-            assert _greedy(inst.lists, inst.weights) == reference_greedy(
-                inst.lists, inst.weights
-            ), seed
+            found = _greedy(inst.lists, inst.weights)
+            assert found == reference_greedy(inst.lists, inst.weights), seed
+            assert validate_coloring(inst, found), seed
         # at vertex 1 the available colors absent from L(2) are 8 and 9,
         # fewer than, as many as or more than w(1); from vertex 2 on, color
         # 2 runs 2 vertices and stops, color 1 runs 1 and stops

@@ -9,8 +9,11 @@ the model, so its pull-back cannot borrow a decider it is checked against
 interval scan in ``tests/helpers.py`` must not borrow from the Hall
 deciders it checks.  Each input hypothesis is written out in one place: the
 integer test that excludes bools lives in ``model._int_at_least`` (and in
-``cli._int_value``, whose parse-error wording is its own), and the good-list
-bound ``|L(i)| >= w(i) + w(i+1)`` in ``model._check_good``.
+``cli._int_value``, whose parse-error wording is its own), the good-list
+bound ``|L(i)| >= w(i) + w(i+1)`` in ``model._check_good``, and the interval
+hypothesis ``0 <= i <= j < m`` in ``model._check_interval``.  A broken
+invariant is raised only where a theorem of the paper, not the code just
+run, is what rules it out.
 """
 
 import ast
@@ -43,22 +46,32 @@ def imported_modules(name):
     return found
 
 
+def import_closure(name):
+    """Sibling modules that ``choosable.<name>`` imports, directly or through others."""
+    found, todo = set(), [name]
+    while todo:
+        for module in imported_modules(todo.pop()) - found:
+            found.add(module)
+            todo.append(module)
+    return found
+
+
 def test_oracle_stays_off_the_interval_machinery():
-    assert imported_modules("oracle").isdisjoint({"hall", "waterfall"})
+    assert import_closure("oracle") == {"model"}
 
 
 def test_hall_does_not_import_waterfall():
     for name in ("hall", "cycles"):
-        assert "waterfall" not in imported_modules(name), name
+        assert "waterfall" not in import_closure(name), name
 
 
 def test_waterfall_imports_only_model():
-    assert imported_modules("waterfall") == {"model"}
+    assert import_closure("waterfall") == {"model"}
 
 
 def test_imports_are_seen():
     # the checks above pass vacuously if the parser misses imports
-    assert {"model", "cycles"} <= imported_modules("oracle")
+    assert "model" in imported_modules("oracle")
     assert "model" in imported_modules("hall")
     assert {"hall", "model"} <= imported_modules("cycles")
 
@@ -121,6 +134,20 @@ def compares_good_bound(node):
     return False
 
 
+def compares_interval(node):
+    """A chained ``<``/``<=`` comparison, as in ``0 <= i <= j < m``."""
+    return (
+        isinstance(node, ast.Compare)
+        and len(node.ops) > 1
+        and all(isinstance(op, (ast.Lt, ast.LtE)) for op in node.ops)
+    )
+
+
+def raises_broken_invariant(node):
+    """A call that builds an ``InternalInvariantError``."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", "") == "InternalInvariantError"
+
+
 def test_integer_test_has_one_owner():
     assert sorted(functions_where(excludes_bool)) == [
         ("cli", "_int_value"),
@@ -130,3 +157,17 @@ def test_integer_test_has_one_owner():
 
 def test_good_bound_has_one_owner():
     assert functions_where(compares_good_bound) == [("model", "_check_good")]
+
+
+def test_interval_hypothesis_has_one_owner():
+    assert functions_where(compares_interval) == [("model", "_check_interval")]
+
+
+def test_broken_invariants_are_theorem_guards():
+    # the sufficiency of Hall's condition on paths, and the good bound that
+    # makes the pull-back's swap color exist; what the code has just built
+    # is not checked again
+    assert functions_where(raises_broken_invariant) == [
+        ("hall", "_decide"),
+        ("waterfall", "_failure"),
+    ]

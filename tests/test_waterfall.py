@@ -257,14 +257,18 @@ class TestPullBack:
             pull_back_coloring(report, [{4}, {1}], [{0, 3, 4}, {1, 2, 3}], (1, 1))
 
     @pytest.mark.parametrize(
-        "event",
-        [ColorRename(1, 9, 2, 10**9),ColorRename(1, 9, -1, 0), ColorRename(1, 9, 2, 1)],
-        ids=["past-the-end", "negative-start", "empty"],
+        "event, message",
+        [
+            (ColorRename(1, 9, 2, 10**9), "interval (2, 1000000000) out of range for 3 vertices"),
+            (ColorRename(1, 9, -1, 0), "interval (-1, 0) out of range for 3 vertices, got -1"),
+            (ColorRename(1, 9, 2, 1), "interval (2, 1) out of range for 3 vertices"),
+            (ColorRename(1, 9, 0.5, 1), "interval (0.5, 1) out of range for 3 vertices, got 0.5"),
+        ],
+        ids=["past-the-end", "negative-start", "empty", "float-start"],
     )
     @pytest.mark.parametrize("stage", ["run_renames", "replacements"])
-    def test_rejects_report_event_off_the_path(self, stage, event):
+    def test_rejects_report_event_off_the_path(self, stage, event, message):
         report = TransformReport(**{stage: (event,)})
-        message = f"report event {event!r} is off vertices 0..2"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             pull_back_coloring(report, [{1}, {2}, {3}], [{1}, {1, 2}, {1, 3}], (1, 1, 1))
 
