@@ -35,6 +35,7 @@ from .model import (
     Weights,
     _check_good,
     _check_interval,
+    _int_at_least,
     _is_waterfall,
     _Record,
     _set,
@@ -60,7 +61,8 @@ def alpha_path(lists: Iterable[Iterable[int]], i: int, j: int, k: int) -> int:
     sum of ``ceil(run_length / 2)`` over the maximal runs of consecutive
     vertices carrying ``k``.
     """
-    return _alphas(as_lists(lists), i, j).get(k, 0)
+    alpha = _alphas(as_lists(lists), i, j)
+    return alpha.get(_int_at_least(k, 0, "colors must be non-negative integers"), 0)
 
 
 def hall_summands(lists: Iterable[Iterable[int]], i: int, j: int) -> tuple[HallSummand, ...]:

@@ -266,11 +266,11 @@ def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool
     and the endpoints of every edge (wrap edge included) receive disjoint
     sets.  A coloring with the wrong number of entries is rejected outright.
     """
-    return _proper(inst.lists, inst.weights, coloring, inst.edges())
+    return _proper(inst.lists, inst.weights, coloring, inst.edges()) is not None
 
 
-def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> bool:
-    """``validate_coloring`` on lists and weights already checked."""
+def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> Coloring | None:
+    """``validate_coloring`` on checked lists and weights: the coloring if proper, else None."""
     try:
         c = tuple(frozenset(entry) for entry in coloring)
     except TypeError as exc:
@@ -279,8 +279,8 @@ def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> bool:
         raise InvalidInputError(f"coloring has {len(c)} entries for {len(L)} vertices")
     for v in range(len(L)):
         if len(c[v]) != w[v] or not c[v] <= L[v]:
-            return False
-    return all(not (c[u] & c[v]) for u, v in edges)
+            return None
+    return None if any(c[u] & c[v] for u, v in edges) else c
 
 
 def amplitude(lists: Iterable[Iterable[int]], i: int, j: int) -> frozenset[int]:
@@ -291,9 +291,11 @@ def amplitude(lists: Iterable[Iterable[int]], i: int, j: int) -> frozenset[int]:
 
 
 def _check_interval(i, j, m: int) -> None:
-    """Raise ``InvalidInputError`` unless the ends are integers, ``0 <= i <= j < m``."""
-    message = f"interval ({i!r}, {j!r}) out of range for {m} vertices"
-    if not _int_at_least(i, 0, message) <= _int_at_least(j, 0, message) < m:
+    """Raise ``InvalidInputError`` unless the ends are plain ints, ``0 <= i <= j < m``."""
+    if type(i) is not int or type(j) is not int or not 0 <= i <= j < m:
+        message = f"interval ({i!r}, {j!r}) out of range for {m} vertices"
+        _int_at_least(i, 0, message)  # words a bool, float or negative end
+        _int_at_least(j, 0, message)
         raise InvalidInputError(message)
 
 

@@ -16,10 +16,10 @@ The transform works in three recorded stages:
 Each stage preserves per-vertex list sizes and colorability in both
 directions, stage 3 thanks to the good-list bound.  The events of all
 three stages depend only on the input's maximal color runs, so
-``to_waterfall`` plans the whole ``TransformReport`` from them and then
-replays it on the list.  Read in input colors, a coloring of the
-transformed list conflicts only where two labels of one run meet, and
-``pull_back_coloring`` repairs those places in one right-to-left sweep.
+``to_waterfall`` plans them and places each label as it is issued.  Read
+in input colors, a coloring of the transformed list conflicts only where
+two labels of one run meet, and ``pull_back_coloring``, replaying the
+report it is given, repairs those places in one right-to-left sweep.
 
 Fresh colors are chosen as the smallest integer larger than every color
 seen so far, so outputs are deterministic and fresh labels never collide
@@ -110,74 +110,87 @@ def to_waterfall(
     """
     inst = Instance.path(weights, lists)
     _check_good(inst.lists, inst.weights)
-    report = _plan(inst.lists)
-    return tuple(frozenset(colors) for colors in _replay(inst.lists, report)), report
+    return _plan(inst.lists)
 
 
-def _plan(L: ListAssignment) -> TransformReport:
-    """The events of all three stages, read off the maximal color runs of ``L``.
+def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
+    """The transformed list and its report, read off the maximal color runs of ``L``.
 
-    A list already in waterfall form gets the empty report.
+    Labels are placed as issued; a list in waterfall form gets the empty report.
     """
-    runs: dict[int, list[list[int]]] = {}
-    for v, colors in enumerate(L):
-        for x in colors:
-            own = runs.setdefault(x, [])
-            if own and own[-1][1] == v - 1:
-                own[-1][1] = v
-            else:
-                own.append([v, v])
-    fresh = max(runs, default=-1) + 1
+    # (first, color, last) of each maximal run: lost colors close runs, gained ones open them
+    runs = []
+    opened: dict[int, int] = {}
+    prev: frozenset[int] = frozenset()
+    for v, colors in enumerate(L + (frozenset(),)):
+        for x in prev - colors:
+            runs.append((opened.pop(x), x, v - 1))
+        for x in colors - prev:
+            opened[x] = v
+        prev = colors
+    runs.sort()
+    fresh = max((x for _, x, _ in runs), default=-1) + 1
 
     # Stage 1: detached runs, left to right (ties by color), each get their
     # own fresh label.  spans holds (first, last, label) of every color of
     # the normalized list.
-    run_renames = []
-    spans = [(own[0][0], own[0][1], x) for x, own in runs.items()]
-    for start, x, end in sorted((s, x, e) for x, own in runs.items() for s, e in own[1:]):
-        run_renames.append(ColorRename(x, fresh, start, end))
-        spans.append((start, end, fresh))
-        fresh += 1
+    run_renames, spans, seen = [], [], set()
+    for first, x, last in runs:
+        if x in seen:
+            run_renames.append(ColorRename(x, fresh, first, last))
+            x, fresh = fresh, fresh + 1
+        seen.add(x)
+        spans.append((first, last, x))
     if not run_renames and all(last - first < 2 for first, last, _ in spans):
-        return TransformReport()
+        return L, TransformReport()
 
     # Stage 2: the k-th span in (first, last, label) order takes the k-th
     # smallest label, fresh run labels included.
     spans.sort()
-    labels = sorted(label for _, _, label in spans)
+    labels = sorted(seen)
     relabel = tuple((x, new) for (_, _, x), new in zip(spans, labels) if x != new)
 
     # Stage 3: labels now follow span order and each fresh label exceeds
     # every label before it, so first in, first out is the order of
     # "smallest long x".
-    queue = deque(
-        (new, first, last) for (first, last, _), new in zip(spans, labels) if last - first >= 2
-    )
+    out: list[list[int]] = [[] for _ in L]
+    queue = deque((new, first, last) for (first, last, _), new in zip(spans, labels))
     replacements = []
     while queue:
         x, first, last = queue.popleft()
-        replacements.append(ColorRename(x, fresh, first + 2, last))
-        if last - first >= 4:
+        out[first].append(x)
+        if last > first:
+            out[first + 1].append(x)
+        if last - first >= 2:
+            replacements.append(ColorRename(x, fresh, first + 2, last))
             queue.append((fresh, first + 2, last))
-        fresh += 1
-    return TransformReport(tuple(run_renames), relabel, tuple(replacements))
+            fresh += 1
+    report = TransformReport(tuple(run_renames), relabel, tuple(replacements))
+    return tuple(map(frozenset, out)), report
 
 
 def _replay(L: ListAssignment, report: TransformReport) -> list[set[int]]:
-    """The transformed list of ``L``, one mutable set per vertex.
+    """The transformed list of ``L`` under any report, one mutable set per vertex.
 
     Linear: a replacement relabels only the first two vertices of its span;
     the rest of the run keeps its stage 2 label until its chain reaches it.
     """
     work = [set(colors) for colors in L]
     for ev in report.run_renames:
-        _rename(work, ev.old, ev.new, ev.start, ev.end)
-    relabel = dict(report.relabel_map)
-    work = [{relabel.get(x, x) for x in colors} for colors in work]
+        for colors in work[ev.start : ev.end + 1]:
+            if ev.old in colors:
+                colors.remove(ev.old)
+                colors.add(ev.new)
+    if report.relabel_map:
+        relabel = dict(report.relabel_map)
+        work = [{relabel.get(x, x) for x in colors} for colors in work]
     root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
     for ev in report.replacements:
         old = root[ev.new] = root.get(ev.old, ev.old)
-        _rename(work, old, ev.new, ev.start, min(ev.start + 1, ev.end))
+        for colors in work[ev.start : min(ev.start + 1, ev.end) + 1]:
+            if old in colors:
+                colors.remove(old)
+                colors.add(ev.new)
     return work
 
 
@@ -188,14 +201,6 @@ def _input_colors(report: TransformReport) -> dict[int, int]:
     for ev in report.replacements:
         source[ev.new] = source.get(ev.old, ev.old)
     return source
-
-
-def _rename(lists: list[set[int]], old: int, new: int, start: int, end: int) -> None:
-    """Replace ``old`` by ``new`` in the lists of vertices ``start..end``."""
-    for v in range(start, end + 1):
-        if old in lists[v]:
-            lists[v].discard(old)
-            lists[v].add(new)
 
 
 def pull_back_coloring(
@@ -226,8 +231,8 @@ def pull_back_coloring(
     _check_good(L, original.weights)
     for ev in report.run_renames + report.replacements:
         _check_interval(ev.start, ev.end, len(L))
-    c = [set(entry) for entry in c_waterfall]
-    if not _proper(_replay(L, report), original.weights, c, original.edges()):
+    c = _proper(_replay(L, report), original.weights, c_waterfall, original.edges())
+    if c is None:
         raise InvalidInputError("coloring is not valid for the transformed list")
 
     source = _input_colors(report)
@@ -257,6 +262,6 @@ def _failure(L: ListAssignment, report: TransformReport, message: str) -> Except
     run meeting.  Only a failed pull-back re-plans, so a valid report costs
     nothing extra.
     """
-    if _plan(L) != report:
+    if _plan(L)[1] != report:
         return InvalidInputError("report is not the transform of these lists")
     return InternalInvariantError(message)

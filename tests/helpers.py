@@ -1,11 +1,20 @@
-"""Shared builders, enumerators and the reference scan and greedy for the test suite."""
+"""Shared builders, enumerators and the reference scan, greedy and transform for the test suite."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
-from choosable import Certificate, Coloring, Instance, ListAssignment, Weights
+from choosable import (
+    Certificate,
+    Coloring,
+    ColorRename,
+    Instance,
+    ListAssignment,
+    TransformReport,
+    Weights,
+)
 
 
 def L(*entries):
@@ -166,3 +175,69 @@ def reference_greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | 
         if alpha < demand:
             found = i, alpha, demand
     return None if found is None else Certificate(found[0], v, found[1], found[2])
+
+
+def reference_to_waterfall(lists, weights) -> tuple[ListAssignment, TransformReport]:
+    """The waterfall transform as it was before the plan placed the labels.
+
+    The whole ``TransformReport`` is planned from a per-color table of
+    maximal runs, then replayed on the list event by event.  The package's
+    ``to_waterfall`` must return the same list and the same report on every
+    good input.
+    """
+    L = Instance.path(weights, lists).lists
+    runs: dict[int, list[list[int]]] = {}
+    for v, colors in enumerate(L):
+        for x in colors:
+            own = runs.setdefault(x, [])
+            if own and own[-1][1] == v - 1:
+                own[-1][1] = v
+            else:
+                own.append([v, v])
+    fresh = max(runs, default=-1) + 1
+
+    # stage 1: detached runs, left to right (ties by color), get fresh labels
+    run_renames = []
+    spans = [(own[0][0], own[0][1], x) for x, own in runs.items()]
+    for start, x, end in sorted((s, x, e) for x, own in runs.items() for s, e in own[1:]):
+        run_renames.append(ColorRename(x, fresh, start, end))
+        spans.append((start, end, fresh))
+        fresh += 1
+    if not run_renames and all(last - first < 2 for first, last, _ in spans):
+        return L, TransformReport()
+
+    # stage 2: the k-th span in (first, last, label) order takes the k-th
+    # smallest label
+    spans.sort()
+    labels = sorted(label for _, _, label in spans)
+    relabel = tuple((x, new) for (_, _, x), new in zip(spans, labels) if x != new)
+
+    # stage 3: long labels are replaced first in, first out
+    queue = deque(
+        (new, first, last) for (first, last, _), new in zip(spans, labels) if last - first >= 2
+    )
+    replacements = []
+    while queue:
+        x, first, last = queue.popleft()
+        replacements.append(ColorRename(x, fresh, first + 2, last))
+        if last - first >= 4:
+            queue.append((fresh, first + 2, last))
+        fresh += 1
+    report = TransformReport(tuple(run_renames), relabel, tuple(replacements))
+
+    def rename(work, old, new, start, end):
+        for v in range(start, end + 1):
+            if old in work[v]:
+                work[v].discard(old)
+                work[v].add(new)
+
+    work = [set(colors) for colors in L]
+    for ev in report.run_renames:
+        rename(work, ev.old, ev.new, ev.start, ev.end)
+    relabel_map = dict(relabel)
+    work = [{relabel_map.get(x, x) for x in colors} for colors in work]
+    root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
+    for ev in report.replacements:
+        old = root[ev.new] = root.get(ev.old, ev.old)
+        rename(work, old, ev.new, ev.start, min(ev.start + 1, ev.end))
+    return tuple(frozenset(colors) for colors in work), report

@@ -120,6 +120,19 @@ SCALARS = {
         lambda: alpha_path(THREE, 0.5, 1, 1),
         "interval (0.5, 1) out of range for 3 vertices, got 0.5",
     ),
+    # True and 1.0 hash like color 1, so a lookup alone finds its runs
+    "alpha_path(L, 0, 0, True)": (
+        lambda: alpha_path(THREE, 0, 0, True),
+        "colors must be non-negative integers, got True",
+    ),
+    "alpha_path(L, 0, 0, 1.0)": (
+        lambda: alpha_path(THREE, 0, 0, 1.0),
+        "colors must be non-negative integers, got 1.0",
+    ),
+    "alpha_path(L, 0, 0, 'x')": (
+        lambda: alpha_path(THREE, 0, 0, "x"),
+        "colors must be non-negative integers, got 'x'",
+    ),
     "amplitude(L, 0, 1.0)": (
         lambda: amplitude(THREE, 0, 1.0),
         "interval (0, 1.0) out of range for 3 vertices, got 1.0",

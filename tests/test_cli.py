@@ -270,6 +270,20 @@ class TestMain:
             '"start": 4, "end": 5}], "fresh_colors": [10, 11, 12], "iterations": 3}}\n'
         )
 
+    def test_waterfall_long_path_golden(self, tmp_path, capsys):
+        # 6 of 12 colors at weight 2, and 3 of 5 colors at weight 1: every
+        # stage of the transform runs hundreds of times; bytes pinned
+        golden = {
+            "5436d23f70c0ebb562a744275784f8db07ac2d4ca77aa3c945f2a36cc809fa9a": (21, 900),
+            "7906a452e9b51a86ad9fc945dd39f5db5de4cbe736423bf4c562ca22c846bd97": (22, 900, 1, 3, 5),
+        }
+        for digest, shape in golden.items():
+            weights, colors = planted_good_path(*shape)
+            doc = json.dumps({"graph": "path", "weights": weights, "lists": colors})
+            assert main(["waterfall", self._doc(tmp_path, doc)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_waterfall_rejects_non_good(self, tmp_path, capsys):
         doc = '{"graph":"path","weights":[1,1,1],"lists":[[1,2,3],[1],[1,2,3]]}'
         assert main(["waterfall", self._doc(tmp_path, doc)]) == 2

@@ -13,7 +13,9 @@ integer test that excludes bools lives in ``model._int_at_least`` (and in
 bound ``|L(i)| >= w(i) + w(i+1)`` in ``model._check_good``, and the interval
 hypothesis ``0 <= i <= j < m`` in ``model._check_interval``.  A broken
 invariant is raised only where a theorem of the paper, not the code just
-run, is what rules it out.
+run, is what rules it out.  ``to_waterfall`` builds its list in the pass
+that plans it; only the pull-back, which takes any caller's report,
+replays one event by event.
 """
 
 import ast
@@ -171,3 +173,12 @@ def test_broken_invariants_are_theorem_guards():
         ("hall", "_decide"),
         ("waterfall", "_failure"),
     ]
+
+
+def test_to_waterfall_does_not_replay():
+    # the plan builds the transformed list; only a caller's report, which
+    # may be any report, is replayed event by event
+    def calls_replay(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_replay"
+
+    assert functions_where(calls_replay) == [("waterfall", "pull_back_coloring")]

@@ -20,7 +20,13 @@ from choosable import (
     to_waterfall,
     validate_coloring,
 )
-from helpers import L, planted_good_path, weight_vectors
+from helpers import (
+    L,
+    planted_good_path,
+    reference_to_waterfall,
+    subsets_up_to,
+    weight_vectors,
+)
 
 
 def maximal_runs(lists):
@@ -159,6 +165,41 @@ def _exhaustive_good_family():
                     yield lists, w
 
 
+class TestAgainstReference:
+    # the plan places every label as it issues it; the reference plans the
+    # report and then replays it event by event
+
+    def test_every_list_over_four_colors(self):
+        # the transform reads the weights only for the good bound, which
+        # zero weights always meet, so these lists cover every good list
+        # over four colors on 1-4 vertices, whatever its weights
+        checked = 0
+        for m in range(1, 5):
+            w = (0,) * m
+            for lists in itertools.product(subsets_up_to(range(1, 5), 4), repeat=m):
+                assert to_waterfall(lists, w) == reference_to_waterfall(lists, w), lists
+                checked += 1
+        assert checked == 16 + 16**2 + 16**3 + 16**4
+
+    def test_weights_only_gate_the_good_bound(self):
+        lists = L({1, 2}, {1, 2, 3}, {1, 2, 3, 4}, {2, 3})
+        expected = reference_to_waterfall(lists, (0,) * 4)
+        for w in weight_vectors(4, 2):
+            if is_good(lists, w):
+                assert to_waterfall(lists, w) == expected
+            else:
+                with pytest.raises(NotGoodError):
+                    to_waterfall(lists, w)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_paths(self, seed):
+        # 6 of 12 colors at weight 2, as in the benchmark's 900-vertex path,
+        # and 3 of 5 colors at weight 1, whose longer runs nest stage 3 chains
+        for shape in ((), (1, 3, 5)):
+            w, lists = planted_good_path(seed, 900, *shape)
+            assert to_waterfall(lists, w) == reference_to_waterfall(lists, w)
+
+
 class TestSimilarity:
     def test_small_exhaustive(self):
         # desk-scale slice of the similarity claim; the acceptance suite runs
@@ -237,6 +278,13 @@ class TestPullBack:
         with pytest.raises(InvalidInputError):
             pull_back_coloring(report, L({1}, {1}, {4}), lists, (1, 1, 1))
 
+    @pytest.mark.parametrize("coloring", [5, [[[1]]]], ids=["not-iterable", "unhashable"])
+    def test_rejects_coloring_of_the_wrong_shape(self, coloring):
+        # Python's own TypeError text follows the prefix
+        prefix = "a coloring must be collections of colors: "
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(prefix)}"):
+            pull_back_coloring(TransformReport(), coloring, [[1]], [1])
+
     def test_rejects_non_good_list(self):
         # the repair's swap color exists only under the good bound
         report = TransformReport(replacements=(ColorRename(2, 4, 2, 2),))
@@ -306,6 +354,7 @@ class TestPullBack:
         lists, w = [[0, 1]] * m, [1] * m
         out, report = to_waterfall(lists, w)
         assert report.iterations == 2 * (m // 2 - 1)
+        assert (out, report) == reference_to_waterfall(lists, w)
         decision = decide_waterfall(out, w)
         back = pull_back_coloring(report, decision.coloring, lists, w)
         assert validate_coloring(Instance.path(w, lists), back)
