@@ -43,7 +43,7 @@ from .model import (
     validate_coloring,
 )
 from .oracle import SearchBudget, brute_force, brute_force_forced
-from .waterfall import ColorRename, to_waterfall
+from .waterfall import Rename, to_waterfall
 
 
 class ParseError(InvalidInputError):
@@ -82,6 +82,10 @@ def _int_array(values: Any, field: str) -> list[int]:
         if type(v) is not int:  # names the field only for a value that may fail
             _int_value(v, f"{field}[{k}]")
     return values
+
+
+def _coloring_array(entries: list) -> Coloring:
+    return tuple(frozenset(_int_array(entry, f"coloring[{i}]")) for i, entry in enumerate(entries))
 
 
 def parse_instance(text: str | bytes) -> Instance | FreeChoiceInstance:
@@ -173,13 +177,7 @@ def parse_decision(text: str | bytes) -> Decision:
         coloring = _require(doc, "coloring")
         if not isinstance(coloring, list):
             raise ParseError('field "coloring" must be an array')
-        return Decision(
-            True,
-            coloring=tuple(
-                frozenset(_int_array(entry, f"coloring[{i}]"))
-                for i, entry in enumerate(coloring)
-            ),
-        )
+        return Decision(True, coloring=_coloring_array(coloring))
     cert = _require(doc, "certificate")
     if not isinstance(cert, dict):
         raise ParseError('field "certificate" must be an object')
@@ -213,9 +211,7 @@ def _parse_coloring_document(text: str) -> Coloring:
         doc = doc["coloring"]
     if not isinstance(doc, list):
         raise ParseError("coloring must be an array of color arrays")
-    return tuple(
-        frozenset(_int_array(entry, f"coloring[{i}]")) for i, entry in enumerate(doc)
-    )
+    return _coloring_array(doc)
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
@@ -233,8 +229,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0 if decision.colorable else 1
 
 
-def _renames_doc(renames: tuple[ColorRename, ...]) -> list[dict[str, int]]:
-    return [{"old": r.old, "new": r.new, "start": r.start, "end": r.end} for r in renames]
+def _renames_doc(renames: tuple[Rename, ...]) -> list[dict[str, int]]:
+    return [
+        {"old": old, "new": new, "start": start, "end": end} for old, new, start, end in renames
+    ]
 
 
 def cmd_waterfall(args: argparse.Namespace) -> int:

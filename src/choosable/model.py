@@ -192,7 +192,7 @@ class Instance(_Record):
         n = self.n_vertices
         for v in range(n - 1):
             yield v, v + 1
-        if self.topology is Topology.CYCLE and n > 1:
+        if self.topology is Topology.CYCLE:
             yield n - 1, 0
 
 

@@ -14,12 +14,15 @@ The transform works in three recorded stages:
    more vertices joins at the back.
 
 Each stage preserves per-vertex list sizes and colorability in both
-directions, stage 3 thanks to the good-list bound.  The events of all
-three stages depend only on the input's maximal color runs, so
-``to_waterfall`` plans them and places each label as it is issued.  Read
-in input colors, a coloring of the transformed list conflicts only where
-two labels of one run meet, and ``pull_back_coloring``, replaying the
-report it is given, repairs those places in one right-to-left sweep.
+directions, stage 3 thanks to the good-list bound.  The report is plain
+data: stages 1 and 3 as ``(old, new, start, end)`` tuples, "old becomes
+new on vertices start..end", and stage 2 as ``(old, new)`` pairs.  The
+events of all three stages depend only on the input's maximal color runs,
+so ``to_waterfall`` plans them and places each label as it is issued.
+Read in input colors, a coloring of the transformed list conflicts only
+where two labels of one run meet, and ``pull_back_coloring``, replaying
+the report it is given in one checked walk, repairs those places in one
+right-to-left sweep.
 
 Fresh colors are chosen as the smallest integer larger than every color
 seen so far, so outputs are deterministic and fresh labels never collide
@@ -45,17 +48,7 @@ from .model import (
     validate_coloring,
 )
 
-
-class ColorRename(_Record):
-    """Replace ``old`` by ``new`` in the lists of vertices ``start..end``."""
-
-    __slots__ = ("old", "new", "start", "end")
-
-    def __init__(self, old: int, new: int, start: int, end: int) -> None:
-        _set(self, "old", old)
-        _set(self, "new", new)
-        _set(self, "start", start)
-        _set(self, "end", end)
+Rename = tuple[int, int, int, int]  # (old, new, start, end): old becomes new on start..end
 
 
 class TransformReport(_Record):
@@ -65,7 +58,9 @@ class TransformReport(_Record):
     by plain renaming), ``relabel_map`` the stage 2 permutation as its
     non-identity ``(old, new)`` pairs in span order (applied to the
     normalized list, fresh colors included), and ``replacements`` the stage
-    3 events in execution order.  Stage 3 alone is not undone by renaming:
+    3 events in execution order.  Each event of stages 1 and 3 is an
+    ``(old, new, start, end)`` tuple: ``old`` becomes ``new`` in the lists
+    of vertices ``start..end``.  Stage 3 alone is not undone by renaming:
     where two labels of one run meet, a coloring needs an exchange.
     """
 
@@ -73,9 +68,9 @@ class TransformReport(_Record):
 
     def __init__(
         self,
-        run_renames: tuple[ColorRename, ...] = (),
+        run_renames: tuple[Rename, ...] = (),
         relabel_map: tuple[tuple[int, int], ...] = (),
-        replacements: tuple[ColorRename, ...] = (),
+        replacements: tuple[Rename, ...] = (),
     ) -> None:
         _set(self, "run_renames", run_renames)
         _set(self, "relabel_map", relabel_map)
@@ -87,7 +82,7 @@ class TransformReport(_Record):
 
         These labels are disjoint from the input's amplitude.
         """
-        return frozenset(r.new for r in self.run_renames + self.replacements)
+        return frozenset(new for _, new, _, _ in self.run_renames + self.replacements)
 
     @property
     def iterations(self) -> int:
@@ -137,7 +132,7 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
     run_renames, spans, seen = [], [], set()
     for first, x, last in runs:
         if x in seen:
-            run_renames.append(ColorRename(x, fresh, first, last))
+            run_renames.append((x, fresh, first, last))
             x, fresh = fresh, fresh + 1
         seen.add(x)
         spans.append((first, last, x))
@@ -162,45 +157,54 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
         if last > first:
             out[first + 1].append(x)
         if last - first >= 2:
-            replacements.append(ColorRename(x, fresh, first + 2, last))
+            replacements.append((x, fresh, first + 2, last))
             queue.append((fresh, first + 2, last))
             fresh += 1
     report = TransformReport(tuple(run_renames), relabel, tuple(replacements))
     return tuple(map(frozenset, out)), report
 
 
-def _replay(L: ListAssignment, report: TransformReport) -> list[set[int]]:
-    """The transformed list of ``L`` under any report, one mutable set per vertex.
+def _replay(L: ListAssignment, report: TransformReport) -> tuple[list[set[int]], dict[int, int]]:
+    """The transformed list of ``L`` under a caller's report, and each issued label's input color.
 
-    Linear: a replacement relabels only the first two vertices of its span;
-    the rest of the run keeps its stage 2 label until its chain reaches it.
+    The list has one mutable set per vertex; every issued label stands for
+    one run of its input color.  A report that is not a ``TransformReport``
+    of ``(old, new, start, end)`` events and ``(old, new)`` pairs, or that
+    has an event off the path, raises ``InvalidInputError``.  Linear: a
+    replacement relabels only the first two vertices of its span; the rest
+    of the run keeps its stage 2 label until its chain reaches it.
     """
+    shape = "a report must be a TransformReport of (old, new, start, end) and (old, new) tuples"
+    if not isinstance(report, TransformReport):
+        raise InvalidInputError(f"{shape}: got {type(report).__name__}")
+    try:  # each relabel entry unpacks into two fields, each event into four
+        relabel = {old: new for old, new in report.relabel_map}
+        ends = [(start, end) for _, _, start, end in (*report.run_renames, *report.replacements)]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{shape}: {exc}") from None
+    for start, end in ends:
+        _check_interval(start, end, len(L))
+
     work = [set(colors) for colors in L]
-    for ev in report.run_renames:
-        for colors in work[ev.start : ev.end + 1]:
-            if ev.old in colors:
-                colors.remove(ev.old)
-                colors.add(ev.new)
-    if report.relabel_map:
-        relabel = dict(report.relabel_map)
-        work = [{relabel.get(x, x) for x in colors} for colors in work]
-    root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
-    for ev in report.replacements:
-        old = root[ev.new] = root.get(ev.old, ev.old)
-        for colors in work[ev.start : min(ev.start + 1, ev.end) + 1]:
+    source: dict[int, int] = {}
+    for old, new, start, end in report.run_renames:
+        source[new] = old
+        for colors in work[start : end + 1]:
             if old in colors:
                 colors.remove(old)
-                colors.add(ev.new)
-    return work
-
-
-def _input_colors(report: TransformReport) -> dict[int, int]:
-    """The input color of every issued label, each of which stands for one run."""
-    source = {ev.new: ev.old for ev in report.run_renames}
-    source |= {new: source.get(old, old) for old, new in report.relabel_map}
-    for ev in report.replacements:
-        source[ev.new] = source.get(ev.old, ev.old)
-    return source
+                colors.add(new)
+    if relabel:
+        work = [{relabel.get(x, x) for x in colors} for colors in work]
+        source |= {new: source.get(old, old) for old, new in relabel.items()}
+    root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
+    for old, new, start, end in report.replacements:
+        old = root[new] = root.get(old, old)
+        source[new] = source.get(old, old)
+        for colors in work[start : min(start + 1, end) + 1]:
+            if old in colors:
+                colors.remove(old)
+                colors.add(new)
+    return work, source
 
 
 def pull_back_coloring(
@@ -221,21 +225,19 @@ def pull_back_coloring(
     and c(v+1) share x, so they hold at most w(v) + w(v+1) - 1 colors.
 
     So a list that is not good raises ``NotGoodError``.  ``report`` must be
-    the one ``to_waterfall`` returned for these lists and weights: its events'
-    vertex ranges are checked up front, and where the pull-back fails, a
-    report that is not the transform of these lists raises
-    ``InvalidInputError``.
+    the one ``to_waterfall`` returned for these lists and weights: its shape
+    and its events' vertex ranges are checked as it is read, and where the
+    pull-back fails, a report that is not the transform of these lists
+    raises ``InvalidInputError``.
     """
     original = Instance.path(weights, original_lists)
     L = original.lists
     _check_good(L, original.weights)
-    for ev in report.run_renames + report.replacements:
-        _check_interval(ev.start, ev.end, len(L))
-    c = _proper(_replay(L, report), original.weights, c_waterfall, original.edges())
+    work, source = _replay(L, report)
+    c = _proper(work, original.weights, c_waterfall, original.edges())
     if c is None:
         raise InvalidInputError("coloring is not valid for the transformed list")
 
-    source = _input_colors(report)
     c = [{source.get(x, x) for x in entry} for entry in c]
     for v in range(len(c) - 2, 0, -1):
         for x in sorted(c[v] & c[v + 1]):

@@ -9,7 +9,6 @@ from collections import deque
 from choosable import (
     Certificate,
     Coloring,
-    ColorRename,
     Instance,
     ListAssignment,
     TransformReport,
@@ -200,7 +199,7 @@ def reference_to_waterfall(lists, weights) -> tuple[ListAssignment, TransformRep
     run_renames = []
     spans = [(own[0][0], own[0][1], x) for x, own in runs.items()]
     for start, x, end in sorted((s, x, e) for x, own in runs.items() for s, e in own[1:]):
-        run_renames.append(ColorRename(x, fresh, start, end))
+        run_renames.append((x, fresh, start, end))
         spans.append((start, end, fresh))
         fresh += 1
     if not run_renames and all(last - first < 2 for first, last, _ in spans):
@@ -219,7 +218,7 @@ def reference_to_waterfall(lists, weights) -> tuple[ListAssignment, TransformRep
     replacements = []
     while queue:
         x, first, last = queue.popleft()
-        replacements.append(ColorRename(x, fresh, first + 2, last))
+        replacements.append((x, fresh, first + 2, last))
         if last - first >= 4:
             queue.append((fresh, first + 2, last))
         fresh += 1
@@ -232,12 +231,12 @@ def reference_to_waterfall(lists, weights) -> tuple[ListAssignment, TransformRep
                 work[v].add(new)
 
     work = [set(colors) for colors in L]
-    for ev in report.run_renames:
-        rename(work, ev.old, ev.new, ev.start, ev.end)
+    for old, new, start, end in report.run_renames:
+        rename(work, old, new, start, end)
     relabel_map = dict(relabel)
     work = [{relabel_map.get(x, x) for x in colors} for colors in work]
     root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
-    for ev in report.replacements:
-        old = root[ev.new] = root.get(ev.old, ev.old)
-        rename(work, old, ev.new, ev.start, min(ev.start + 1, ev.end))
+    for old, new, start, end in report.replacements:
+        old = root[new] = root.get(old, old)
+        rename(work, old, new, start, min(start + 1, end))
     return tuple(frozenset(colors) for colors in work), report

@@ -16,7 +16,6 @@ import pytest
 import choosable
 from choosable import (
     ChoiceParameters,
-    ColorRename,
     FreeChoiceInstance,
     Instance,
     InvalidInputError,
@@ -141,9 +140,9 @@ SCALARS = {
         lambda: hall_summands(THREE, 2, 1),
         "interval (2, 1) out of range for 3 vertices",
     ),
-    "pull_back_coloring(ColorRename(1, 9, 0.5, 1))": (
+    "pull_back_coloring((1, 9, 0.5, 1))": (
         lambda: pull_back_coloring(
-            TransformReport(replacements=(ColorRename(1, 9, 0.5, 1),)),
+            TransformReport(replacements=((1, 9, 0.5, 1),)),
             L({1}, {2}, {3}),
             THREE,
             (1, 1, 1),
@@ -160,6 +159,7 @@ def test_scalar_parameters_are_checked(call):
         run()
 
 
+REPORT_SHAPE = "a report must be a TransformReport of (old, new, start, end) and (old, new) tuples"
 SHAPES = {
     "Instance.path([1], [5])": (
         lambda: Instance.path([1], [5]),
@@ -181,12 +181,28 @@ SHAPES = {
         lambda: validate_coloring(Instance.path([1], [[1]]), [[[1]]]),
         "a coloring must be collections of colors",
     ),
+    'pull_back_coloring("x")': (
+        lambda: pull_back_coloring("x", L({1}, {2}, {3}), THREE, (1, 1, 1)),
+        REPORT_SHAPE,
+    ),
+    "pull_back_coloring(replacements=(5,))": (
+        lambda: pull_back_coloring(
+            TransformReport(replacements=(5,)), L({1}, {2}, {3}), THREE, (1, 1, 1)
+        ),
+        REPORT_SHAPE,
+    ),
+    "pull_back_coloring(relabel_map=((1,),))": (
+        lambda: pull_back_coloring(
+            TransformReport(relabel_map=((1,),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
+        ),
+        REPORT_SHAPE,
+    ),
 }
 
 
 @pytest.mark.parametrize("call", sorted(SHAPES))
 def test_container_shape_is_checked(call):
-    # Python's own TypeError text follows the prefix
+    # Python's own error text, or the type of what was given, follows the prefix
     run, prefix = SHAPES[call]
     with pytest.raises(InvalidInputError, match=f"^{re.escape(prefix)}: "):
         run()

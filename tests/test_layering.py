@@ -15,7 +15,7 @@ hypothesis ``0 <= i <= j < m`` in ``model._check_interval``.  A broken
 invariant is raised only where a theorem of the paper, not the code just
 run, is what rules it out.  ``to_waterfall`` builds its list in the pass
 that plans it; only the pull-back, which takes any caller's report,
-replays one event by event.
+replays one event by event, and an event is a plain tuple, not a record.
 """
 
 import ast
@@ -182,3 +182,16 @@ def test_to_waterfall_does_not_replay():
         return isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_replay"
 
     assert functions_where(calls_replay) == [("waterfall", "pull_back_coloring")]
+
+
+def test_waterfall_events_are_no_records():
+    # the report is the transform's one record; each event in it is an
+    # (old, new, start, end) tuple, which costs no constructor call
+    tree = ast.parse((PACKAGE / "waterfall.py").read_text(encoding="utf-8"))
+    records = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", "") == "_Record" for base in node.bases)
+    ]
+    assert records == ["TransformReport"]

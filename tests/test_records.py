@@ -18,7 +18,6 @@ import pytest
 from choosable import (
     Certificate,
     ChoiceParameters,
-    ColorRename,
     Decision,
     FreeChoiceInstance,
     HallSummand,
@@ -30,7 +29,6 @@ from choosable import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 CERT = "Certificate(i=0, j=1, amplitude_size=1, demand=2)"
-RENAME = "ColorRename(old=1, new=4, start=2, end=2)"
 CYCLE = (
     "Instance(topology=<Topology.CYCLE: 'cycle'>, weights=(1, 1, 1), "
     "lists=(frozenset({1}), frozenset({2}), frozenset({3})))"
@@ -61,11 +59,10 @@ CASES = [
         lambda: FreeChoiceInstance(Instance.cycle((1, 1, 1), [[1], [2], [3]]), 1, [2]),
         f"FreeChoiceInstance(cycle={CYCLE}, v0=1, forced=frozenset({{2}}))",
     ),
-    (ColorRename, lambda: ColorRename(1, 4, 2, 2), RENAME),
     (
         TransformReport,
-        lambda: TransformReport((ColorRename(1, 4, 2, 2),), ((1, 2),)),
-        f"TransformReport(run_renames=({RENAME},), relabel_map=((1, 2),), replacements=())",
+        lambda: TransformReport(((1, 4, 2, 2),), ((1, 2),)),
+        "TransformReport(run_renames=((1, 4, 2, 2),), relabel_map=((1, 2),), replacements=())",
     ),
     (SearchBudget, lambda: SearchBudget(7), "SearchBudget(max_nodes=7)"),
 ]
@@ -108,7 +105,7 @@ def test_equal_by_exact_type_and_fields(cls, make, text):
 def test_a_record_is_no_tuple():
     cert = Certificate(0, 1, 1, 2)
     assert cert != (0, 1, 1, 2)
-    assert cert != ColorRename(0, 1, 1, 2)
+    assert HallSummand(1, 2, 3) != TransformReport(1, 2, 3)
     with pytest.raises(TypeError):
         cert[0]
     with pytest.raises(TypeError):

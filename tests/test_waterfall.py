@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from choosable import (
-    ColorRename,
     Instance,
     InvalidInputError,
     NotGoodError,
@@ -47,7 +46,7 @@ class TestNormalizeRuns:
     def test_detached_reoccurrence_gets_fresh_color(self):
         out, report = to_waterfall(L({1}, {2}, {1}), (1, 0, 1))
         assert out == L({1}, {2}, {3})
-        assert report.run_renames == (ColorRename(1, 3, 2, 2),)
+        assert report.run_renames == ((1, 3, 2, 2),)
         assert report.fresh_colors == {3}
 
     def test_consecutive_runs_untouched(self):
@@ -55,12 +54,12 @@ class TestNormalizeRuns:
         out, report = to_waterfall(L({1}, {1}, {1}), (0, 0, 0))
         assert out == L({1}, {1}, {2})
         assert report.run_renames == ()
-        assert report.replacements == (ColorRename(1, 2, 2, 2),)
+        assert report.replacements == ((1, 2, 2, 2),)
 
     def test_run_of_two_then_gap(self):
         out, report = to_waterfall(L({1}, {1}, {2}, {1}), (1, 0, 1, 0))
         assert out == L({1}, {1}, {2}, {3})
-        assert report.run_renames == (ColorRename(1, 3, 3, 3),)
+        assert report.run_renames == ((1, 3, 3, 3),)
         assert report.relabel_map == () and report.replacements == ()
 
     def test_similarity_on_examples(self):
@@ -89,7 +88,7 @@ class TestToWaterfall:
     def test_three_vertex_span_broken(self):
         out, report = to_waterfall(L({1}, {1, 2}, {1, 3}), (1, 1, 1))
         assert out == L({1}, {1, 2}, {3, 4})
-        assert report.replacements == (ColorRename(1, 4, 2, 2),)
+        assert report.replacements == ((1, 4, 2, 2),)
         assert report.fresh_colors == {4}
         assert report.iterations == 1
 
@@ -102,7 +101,7 @@ class TestToWaterfall:
     def test_span_from_first_vertex(self):
         out, report = to_waterfall(L({1, 2}, {1, 2}, {2, 3}), (1, 1, 1))
         assert out == L({1, 2}, {1, 2}, {4, 3})
-        assert report.replacements == (ColorRename(2, 4, 2, 2),)
+        assert report.replacements == ((2, 4, 2, 2),)
 
     def test_rejects_non_good_lists(self):
         with pytest.raises(NotGoodError):
@@ -114,7 +113,7 @@ class TestToWaterfall:
         lists = L({1}, {1, 2}, {1, 3}, {2, 3}, {9})
         out, report = to_waterfall(lists, (1,) * 5)
         assert out == L({1}, {1, 2}, {3, 11}, {3, 9}, {10})
-        assert report.run_renames == (ColorRename(2, 10, 3, 3),)
+        assert report.run_renames == ((2, 10, 3, 3),)
         assert report.relabel_map == ((10, 9), (9, 10))
         assert report.fresh_colors == {10, 11}
 
@@ -287,7 +286,7 @@ class TestPullBack:
 
     def test_rejects_non_good_list(self):
         # the repair's swap color exists only under the good bound
-        report = TransformReport(replacements=(ColorRename(2, 4, 2, 2),))
+        report = TransformReport(replacements=((2, 4, 2, 2),))
         message = "list is not good: interior vertex 1 has |L(1)| = 1 < w(1) + w(2) = 3"
         with pytest.raises(NotGoodError, match=f"^{re.escape(message)}$"):
             pull_back_coloring(report, [{0}, {2}, {3, 4}], [[0, 1, 2], [2], [2, 3]], (1, 1, 2))
@@ -296,9 +295,9 @@ class TestPullBack:
         # events in range, but not the transform of these lists: the
         # pulled-back coloring fails, and the re-plan blames the report
         report = TransformReport(
-            run_renames=(ColorRename(2, 5, 0, 1),),
+            run_renames=((2, 5, 0, 1),),
             relabel_map=((0, 1),),
-            replacements=(ColorRename(0, 5, 0, 0),),
+            replacements=((0, 5, 0, 0),),
         )
         message = "report is not the transform of these lists"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
@@ -307,10 +306,10 @@ class TestPullBack:
     @pytest.mark.parametrize(
         "event, message",
         [
-            (ColorRename(1, 9, 2, 10**9), "interval (2, 1000000000) out of range for 3 vertices"),
-            (ColorRename(1, 9, -1, 0), "interval (-1, 0) out of range for 3 vertices, got -1"),
-            (ColorRename(1, 9, 2, 1), "interval (2, 1) out of range for 3 vertices"),
-            (ColorRename(1, 9, 0.5, 1), "interval (0.5, 1) out of range for 3 vertices, got 0.5"),
+            ((1, 9, 2, 10**9), "interval (2, 1000000000) out of range for 3 vertices"),
+            ((1, 9, -1, 0), "interval (-1, 0) out of range for 3 vertices, got -1"),
+            ((1, 9, 2, 1), "interval (2, 1) out of range for 3 vertices"),
+            ((1, 9, 0.5, 1), "interval (0.5, 1) out of range for 3 vertices, got 0.5"),
         ],
         ids=["past-the-end", "negative-start", "empty", "float-start"],
     )
