@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import warnings
-from typing import Any
+from typing import Any, Iterable
 
 from .cycles import (
     counterexample_list,
@@ -43,7 +43,7 @@ from .model import (
     validate_coloring,
 )
 from .oracle import SearchBudget, brute_force, brute_force_forced
-from .waterfall import Rename, to_waterfall
+from .waterfall import to_waterfall
 
 
 class ParseError(InvalidInputError):
@@ -229,10 +229,12 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0 if decision.colorable else 1
 
 
-def _renames_doc(renames: tuple[Rename, ...]) -> list[dict[str, int]]:
-    return [
-        {"old": old, "new": new, "start": start, "end": end} for old, new, start, end in renames
-    ]
+_EVENT = '{"old": %d, "new": %d, "start": %d, "end": %d}'
+
+
+def _ints(values: Iterable[int]) -> str:
+    """A JSON array of ints, as ``json.dumps`` writes it."""
+    return "[" + ", ".join(map(str, values)) + "]"
 
 
 def cmd_waterfall(args: argparse.Namespace) -> int:
@@ -240,17 +242,18 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
     if isinstance(obj, FreeChoiceInstance) or obj.topology is not Topology.PATH:
         raise InvalidInputError("the waterfall transform applies to path instances")
     transformed, report = to_waterfall(obj.lists, obj.weights)
-    doc = {
-        "lists": [sorted(entry) for entry in transformed],
-        "report": {
-            "run_renames": _renames_doc(report.run_renames),
-            "relabel_map": sorted([old, new] for old, new in report.relabel_map),
-            "replacements": _renames_doc(report.replacements),
-            "fresh_colors": sorted(report.fresh_colors),
-            "iterations": report.iterations,
-        },
-    }
-    print(json.dumps(doc))
+    # All that can fail is done, so stdout gets the whole document or
+    # nothing.  Each section is built as one string just before it is
+    # written, with no dict per event and no token list from json, so at
+    # most one section is held at a time.  Every value is an int, so the
+    # bytes are those of json.dumps with its default separators.
+    write = sys.stdout.write
+    write('{"lists": [' + ", ".join(_ints(sorted(entry)) for entry in transformed))
+    write('], "report": {"run_renames": [' + ", ".join(_EVENT % e for e in report.run_renames))
+    write('], "relabel_map": [' + ", ".join("[%d, %d]" % p for p in sorted(report.relabel_map)))
+    write('], "replacements": [' + ", ".join(_EVENT % e for e in report.replacements))
+    write('], "fresh_colors": ' + _ints(sorted(report.fresh_colors)))
+    write(', "iterations": %d}}\n' % report.iterations)
     return 0
 
 

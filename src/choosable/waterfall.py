@@ -186,24 +186,27 @@ def _replay(L: ListAssignment, report: TransformReport) -> tuple[list[set[int]],
         _check_interval(start, end, len(L))
 
     work = [set(colors) for colors in L]
-    source: dict[int, int] = {}
-    for old, new, start, end in report.run_renames:
-        source[new] = old
-        for colors in work[start : end + 1]:
-            if old in colors:
-                colors.remove(old)
-                colors.add(new)
-    if relabel:
-        work = [{relabel.get(x, x) for x in colors} for colors in work]
-        source |= {new: source.get(old, old) for old, new in relabel.items()}
-    root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
-    for old, new, start, end in report.replacements:
-        old = root[new] = root.get(old, old)
-        source[new] = source.get(old, old)
-        for colors in work[start : min(start + 1, end) + 1]:
-            if old in colors:
-                colors.remove(old)
-                colors.add(new)
+    try:  # an unhashable label fails where it is first hashed
+        source: dict[int, int] = {}
+        for old, new, start, end in report.run_renames:
+            source[new] = old
+            for colors in work[start : end + 1]:
+                if old in colors:
+                    colors.remove(old)
+                    colors.add(new)
+        if relabel:
+            work = [{relabel.get(x, x) for x in colors} for colors in work]
+            source |= {new: source.get(old, old) for old, new in relabel.items()}
+        root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
+        for old, new, start, end in report.replacements:
+            old = root[new] = root.get(old, old)
+            source[new] = source.get(old, old)
+            for colors in work[start : min(start + 1, end) + 1]:
+                if old in colors:
+                    colors.remove(old)
+                    colors.add(new)
+    except TypeError as exc:
+        raise InvalidInputError(f"{shape}: {exc}") from None
     return work, source
 
 

@@ -240,3 +240,29 @@ def reference_to_waterfall(lists, weights) -> tuple[ListAssignment, TransformRep
         old = root[new] = root.get(old, old)
         rename(work, old, new, start, min(start + 1, end))
     return tuple(frozenset(colors) for colors in work), report
+
+
+def reference_waterfall_doc(transformed, report) -> dict:
+    """The ``choosable waterfall`` document as a dict, one dict per event.
+
+    This is how the command built its output before it wrote the document
+    section by section; ``json.dumps`` of it, plus a newline, is the output
+    the command must still write byte for byte.
+    """
+
+    def events(renames):
+        return [
+            {"old": old, "new": new, "start": start, "end": end}
+            for old, new, start, end in renames
+        ]
+
+    return {
+        "lists": [sorted(entry) for entry in transformed],
+        "report": {
+            "run_renames": events(report.run_renames),
+            "relabel_map": sorted([old, new] for old, new in report.relabel_map),
+            "replacements": events(report.replacements),
+            "fresh_colors": sorted(report.fresh_colors),
+            "iterations": report.iterations,
+        },
+    }

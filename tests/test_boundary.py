@@ -197,6 +197,25 @@ SHAPES = {
         ),
         REPORT_SHAPE,
     ),
+    # a label that cannot be hashed, in each place a label is first hashed
+    "pull_back_coloring(run_renames=(([1], 9, 0, 0),))": (
+        lambda: pull_back_coloring(
+            TransformReport(run_renames=(([1], 9, 0, 0),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
+        ),
+        REPORT_SHAPE,
+    ),
+    "pull_back_coloring(replacements=((1, [9], 2, 2),))": (
+        lambda: pull_back_coloring(
+            TransformReport(replacements=((1, [9], 2, 2),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
+        ),
+        REPORT_SHAPE,
+    ),
+    "pull_back_coloring(relabel_map=((1, [9]),))": (
+        lambda: pull_back_coloring(
+            TransformReport(relabel_map=((1, [9]),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
+        ),
+        REPORT_SHAPE,
+    ),
 }
 
 

@@ -4,10 +4,11 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from choosable import Certificate, Decision, Instance, counterexample_list
+from choosable import Certificate, Decision, Instance, counterexample_list, to_waterfall
 from choosable.cli import (
     ParseError,
     emit_decision,
@@ -16,7 +17,7 @@ from choosable.cli import (
     parse_decision,
     parse_instance,
 )
-from helpers import L, planted_good_path
+from helpers import L, planted_good_path, reference_waterfall_doc
 
 
 PATH_DOC = '{"graph":"path","weights":[1,1],"lists":[[1,2],[2,3]]}'
@@ -285,8 +286,59 @@ class TestMain:
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_waterfall_rejects_non_good(self, tmp_path, capsys):
+        # a failing waterfall leaves no partial document on stdout
         doc = '{"graph":"path","weights":[1,1,1],"lists":[[1,2,3],[1],[1,2,3]]}'
-        assert main(["waterfall", self._doc(tmp_path, doc)]) == 2
+        for text in (doc, COUNTEREXAMPLE_DOC):
+            assert main(["waterfall", self._doc(tmp_path, text)]) == 2
+            assert capsys.readouterr().out == ""
+
+    def test_waterfall_matches_reference_document(self, tmp_path, capsys):
+        # seeded good paths of every stage, and the edge cases: a list
+        # already in waterfall form (empty report arrays), a single vertex,
+        # all-zero weights with an empty list, and colors above 2^31
+        rng = random.Random(15)
+        paths = [
+            ([1, 1], [[1, 2], [2, 3]]),
+            ([2], [[5, 1, 3]]),
+            ([0] * 6, [[1, 2], [1, 2], [], [1, 2], [2], [1, 2, 3]]),
+            ([1, 1, 1, 1], [[2**31, 2**40], [2**40, 2**31 + 1], [2**40, 7], [2**40, 2**32]]),
+        ]
+        for seed in range(40):
+            weight = rng.randint(1, 2)
+            size = rng.randint(2 * weight, 2 * weight + 3)
+            shape = (seed, rng.randint(1, 300), weight, size, rng.randint(size, size + 6))
+            paths.append(planted_good_path(*shape))
+        outputs = []
+        for weights, lists in paths:
+            doc = json.dumps({"graph": "path", "weights": weights, "lists": lists})
+            assert main(["waterfall", self._doc(tmp_path, doc)]) == 0
+            outputs.append(capsys.readouterr().out)
+            expected = reference_waterfall_doc(*to_waterfall(lists, weights))
+            assert outputs[-1] == json.dumps(expected) + "\n"
+        assert outputs[0].endswith(
+            '"report": {"run_renames": [], "relabel_map": [], "replacements": [], '
+            '"fresh_colors": [], "iterations": 0}}\n'
+        )
+        # every path past the single vertex takes stage 3 at least once
+        assert all('"iterations": 0}' not in out for out in outputs[2:])
+
+    def test_waterfall_memory_on_a_long_path(self, tmp_path, capsys):
+        # the document is written section by section: no dict per event and
+        # no json token list, so the peak stays near the transform's own
+        # (about 2.3 MB; a dict per event dumped by json peaks at 5.8 MB)
+        weights, lists = planted_good_path(21, 900)
+        text = json.dumps({"graph": "path", "weights": weights, "lists": lists})
+        doc = self._doc(tmp_path, text)
+        # a first run keeps one-time setup out of the measured peak
+        assert main(["waterfall", self._doc(tmp_path, PATH_DOC, "warm.json")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["waterfall", doc]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 3.5 * 2**20
 
     def test_verify_valid_and_invalid(self, tmp_path, capsys):
         inst = self._doc(tmp_path, PATH_DOC)
