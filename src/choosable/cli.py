@@ -23,13 +23,8 @@ import sys
 import warnings
 from typing import Any, Iterable
 
-from .cycles import (
-    counterexample_list,
-    fchr,
-    is_free_choosable,
-    solve_free_choice,
-)
-from .hall import hall_check_path
+# Each command imports the modules it runs in its body, so a process
+# compiles only what its command needs.
 from .model import (
     BudgetExceededError,
     Certificate,
@@ -39,11 +34,10 @@ from .model import (
     Instance,
     InternalInvariantError,
     InvalidInputError,
+    SearchBudget,
     Topology,
     validate_coloring,
 )
-from .oracle import SearchBudget, brute_force, brute_force_forced
-from .waterfall import to_waterfall
 
 
 class ParseError(InvalidInputError):
@@ -217,8 +211,12 @@ def _parse_coloring_document(text: str) -> Coloring:
 def cmd_decide(args: argparse.Namespace) -> int:
     obj = parse_instance(_read(args.file))
     if isinstance(obj, FreeChoiceInstance):
+        from .cycles import solve_free_choice
+
         decision = solve_free_choice(obj)
     elif obj.topology is Topology.PATH:
+        from .hall import hall_check_path
+
         decision = hall_check_path(obj.lists, obj.weights)
     else:
         raise InvalidInputError(
@@ -238,6 +236,8 @@ def _ints(values: Iterable[int]) -> str:
 
 
 def cmd_waterfall(args: argparse.Namespace) -> int:
+    from .waterfall import to_waterfall
+
     obj = parse_instance(_read(args.file))
     if isinstance(obj, FreeChoiceInstance) or obj.topology is not Topology.PATH:
         raise InvalidInputError("the waterfall transform applies to path instances")
@@ -258,6 +258,8 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force, brute_force_forced
+
     obj = parse_instance(_read(args.file))
     budget = SearchBudget(args.budget)
     if isinstance(obj, FreeChoiceInstance):
@@ -283,18 +285,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fchr(args: argparse.Namespace) -> int:
+    from .cycles import fchr
+
     value = fchr(args.n)
     print(json.dumps({"n": args.n, "fchr": {"num": value.numerator, "den": value.denominator}}))
     return 0
 
 
 def cmd_free_choosable(args: argparse.Namespace) -> int:
+    from .cycles import is_free_choosable
+
     answer = is_free_choosable(args.a, args.b, args.n)
     print(json.dumps({"a": args.a, "b": args.b, "n": args.n, "free_choosable": answer}))
     return 0 if answer else 1
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
+    from .cycles import counterexample_list
+
     print(emit_instance(counterexample_list(args.a, args.b, args.n)))
     return 0
 

@@ -22,11 +22,14 @@ from .model import (
     Instance,
     InvalidInputError,
     PreconditionError,
-    Rational,
     _int_at_least,
     _Record,
     _set,
 )
+
+# Ratio thresholds are exact integer fractions; nothing in this package
+# compares floats.
+Rational = Fraction
 
 
 class ChoiceParameters(_Record):

@@ -20,17 +20,12 @@ every operation is a pure function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 Color = int
 ListAssignment = tuple[frozenset[int], ...]
 Weights = tuple[int, ...]
 Coloring = tuple[frozenset[int], ...]
-
-# Ratio thresholds are exact integer fractions; nothing in this package
-# compares floats.
-Rational = Fraction
 
 
 class InvalidInputError(ValueError):
@@ -257,6 +252,20 @@ class Decision(_Record):
         _set(self, "colorable", colorable)
         _set(self, "coloring", coloring)
         _set(self, "certificate", certificate)
+
+
+class SearchBudget(_Record):
+    """Cap on attempted assignments across the whole search.
+
+    Kept beside ``BudgetExceededError`` so that the command line reads its
+    default without loading the oracle.
+    """
+
+    __slots__ = ("max_nodes",)
+
+    def __init__(self, max_nodes: int = 10_000_000) -> None:
+        max_nodes = _int_at_least(max_nodes, 1, "max_nodes must be a positive integer")
+        _set(self, "max_nodes", max_nodes)
 
 
 def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool:

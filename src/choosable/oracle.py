@@ -21,21 +21,9 @@ from .model import (
     Decision,
     FreeChoiceInstance,
     Instance,
+    SearchBudget,
     Topology,
-    _int_at_least,
-    _Record,
-    _set,
 )
-
-
-class SearchBudget(_Record):
-    """Cap on attempted assignments across the whole search."""
-
-    __slots__ = ("max_nodes",)
-
-    def __init__(self, max_nodes: int = 10_000_000) -> None:
-        max_nodes = _int_at_least(max_nodes, 1, "max_nodes must be a positive integer")
-        _set(self, "max_nodes", max_nodes)
 
 
 def brute_force(inst: Instance, budget: SearchBudget | None = None) -> Decision:

@@ -123,6 +123,7 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
         for x in colors - prev:
             opened[x] = v
         prev = colors
+    del opened  # empty now, but a dict keeps the table it grew to
     runs.sort()
     fresh = max((x for _, x, _ in runs), default=-1) + 1
 
@@ -136,6 +137,7 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
             x, fresh = fresh, fresh + 1
         seen.add(x)
         spans.append((first, last, x))
+    del runs
     if not run_renames and all(last - first < 2 for first, last, _ in spans):
         return L, TransformReport()
 
@@ -143,6 +145,7 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
     # smallest label, fresh run labels included.
     spans.sort()
     labels = sorted(seen)
+    del seen
     relabel = tuple((x, new) for (_, _, x), new in zip(spans, labels) if x != new)
 
     # Stage 3: labels now follow span order and each fresh label exceeds
@@ -150,6 +153,7 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
     # "smallest long x".
     out: list[list[int]] = [[] for _ in L]
     queue = deque((new, first, last) for (first, last, _), new in zip(spans, labels))
+    del spans, labels
     replacements = []
     while queue:
         x, first, last = queue.popleft()
@@ -160,8 +164,9 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
             replacements.append((x, fresh, first + 2, last))
             queue.append((fresh, first + 2, last))
             fresh += 1
-    report = TransformReport(tuple(run_renames), relabel, tuple(replacements))
-    return tuple(map(frozenset, out)), report
+    for v, colors in enumerate(out):
+        out[v] = frozenset(colors)
+    return tuple(out), TransformReport(tuple(run_renames), relabel, tuple(replacements))
 
 
 def _replay(L: ListAssignment, report: TransformReport) -> tuple[list[set[int]], dict[int, int]]:

@@ -146,12 +146,12 @@ class TestMain:
         assert "internal invariant" in capsys.readouterr().err
 
     def test_unexpected_exception_exit_three(self, tmp_path, capsys, monkeypatch):
-        import choosable.cli as cli
+        import choosable.hall as hall
 
         def boom(lists, weights):
             raise RuntimeError("forced\nfailure")
 
-        monkeypatch.setattr(cli, "hall_check_path", boom)
+        monkeypatch.setattr(hall, "hall_check_path", boom)
         rc = main(["decide", self._doc(tmp_path, PATH_DOC)])
         assert rc == 3
         err = capsys.readouterr().err
@@ -493,3 +493,104 @@ class TestDeterminism:
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode == 0
+
+
+# ``--help`` of the program and of each subcommand at 80 columns, as the
+# argparse of Python 3.11 writes it; the oracle's line shows the default
+# node cap of SearchBudget.
+HELP = {
+    (): """\
+usage: choosable [-h] [--quiet]
+                 {decide,waterfall,oracle,verify,fchr,free-choosable,counterexample}
+                 ...
+
+List multicoloring of weighted paths and free-choosability of cycles.
+
+positional arguments:
+  {decide,waterfall,oracle,verify,fchr,free-choosable,counterexample}
+    decide              decide an instance (path or forced cycle)
+    waterfall           transform a good path list to waterfall form
+    oracle              decide by exhaustive search
+    verify              check a coloring against an instance
+    fchr                free-choice ratio of the cycle of length n
+    free-choosable      is the cycle of length n (a, b)-free-choosable
+    counterexample      emit a counterexample cycle instance
+
+options:
+  -h, --help            show this help message and exit
+  --quiet               suppress warnings
+""",
+    ("decide",): """\
+usage: choosable decide [-h] file
+
+positional arguments:
+  file        instance document, or - for stdin
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("waterfall",): """\
+usage: choosable waterfall [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("oracle",): """\
+usage: choosable oracle [-h] [--budget BUDGET] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help       show this help message and exit
+  --budget BUDGET  search node cap (default 10000000)
+""",
+    ("verify",): """\
+usage: choosable verify [-h] instance coloring
+
+positional arguments:
+  instance
+  coloring
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("fchr",): """\
+usage: choosable fchr [-h] --n N
+
+options:
+  -h, --help  show this help message and exit
+  --n N
+""",
+    ("free-choosable",): """\
+usage: choosable free-choosable [-h] --a A --b B --n N
+
+options:
+  -h, --help  show this help message and exit
+  --a A
+  --b B
+  --n N
+""",
+    ("counterexample",): """\
+usage: choosable counterexample [-h] --a A --b B --n N
+
+options:
+  -h, --help  show this help message and exit
+  --a A
+  --b B
+  --n N
+""",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout of Python 3.11")
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: " ".join(c) or "choosable")
+def test_help_golden(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")

@@ -149,6 +149,24 @@ class TestToWaterfall:
             _, report = to_waterfall(lists, w)
             assert report.iterations <= measure
 
+    def test_plan_drops_each_stage_when_done(self):
+        # each stage's temporaries go as soon as the next stage starts, and
+        # each vertex's list becomes its frozenset in place, so the peak is
+        # near what the result itself holds (1.50 times it when every
+        # temporary lived to the end)
+        from choosable.waterfall import _plan
+
+        w, lists = planted_good_path(21, 900)
+        L = Instance.path(w, lists).lists
+        tracemalloc.start()
+        try:
+            result = _plan(L)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == reference_to_waterfall(L, w)
+        assert peak <= 1.1 * live
+
 
 def _exhaustive_good_family():
     """All good lists on up to 4 vertices over 4 colors with sizes <= 3, w <= 2."""
