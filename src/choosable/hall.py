@@ -8,15 +8,15 @@ turns colorability into interval counting.
 
 Every decider takes one route: a linear left-to-right greedy that keeps the
 condition on the rest of the path, so it colors exactly the colorable
-paths.  It counts runs only for the colors a vertex shares with the next
-one, and ranks those only at a vertex whose unshared colors fall short of
-its weight.  Where it runs short, at vertex v, it names the violated subpath
-with the smallest right end, v, and the smallest left end among those.
-The paper's two special cases are theorems about that route, not separate
-passes.  On waterfall lists a color's run inside any subpath is at most two
-long, so every color adds exactly one and the Hall sum is the amplitude
-size; on good waterfall lists a violated subpath, if there is one, starts
-at vertex 0.
+paths.  It keeps no table of runs: it measures a color's run only at a
+vertex whose colors absent from the next list fall short of its weight, so
+a "no" reads only the path up to the vertex where it runs short.  There, at
+vertex v, it names the violated subpath with the smallest right end, v, and
+the smallest left end among those.  The paper's two special cases are
+theorems about that route, not separate passes.  On waterfall lists a
+color's run inside any subpath is at most two long, so every color adds
+exactly one and the Hall sum is the amplitude size; on good waterfall lists
+a violated subpath, if there is one, starts at vertex 0.
 """
 
 from __future__ import annotations
@@ -171,9 +171,14 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
     the sets of such j are nested, so the first w(v) colors keep Hall's
     condition on v+1.. whenever any choice of w(v) colors does.
 
-    Only colors that L(v) shares with L(v+1) have a run, so the table keeps
-    those alone, and a vertex whose colors of the first class number at
-    least w(v) takes the smallest of them without ranking the others.
+    A vertex whose colors of the first class number at least w(v) takes the
+    smallest of them without ranking the others, and most vertices do, so
+    runs are measured only where a vertex ranks.  There x's run is read off
+    ``end[x]``, the last vertex of the run of x measured last: if that run
+    reaches past v it holds v+1, and otherwise the run is scanned from v+1
+    to its end.  A scan starts past every vertex an earlier scan of x
+    reached, so each list is scanned at most once per color and a full
+    pass stays linear in the sum of the list sizes.
 
     Each vertex takes exactly w(v) colors of its own list, none of them in
     c(v-1), so a full pass is a proper coloring with nothing left to check.
@@ -183,13 +188,10 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
     none, which ``_decide`` treats as a broken invariant.
     """
     m = len(L)
-    # shared[v][x]: for x in both L(v) and L(v+1), how many consecutive
-    # lists from v+1 on contain x
-    shared: list[dict[int, int]] = [{}] * m
-    after: dict[int, int] = {}
-    for v in range(m - 2, -1, -1):
-        after = shared[v] = {x: after.get(x, 0) + 1 for x in L[v] & L[v + 1]}
-
+    last = m - 1
+    # end[x]: the last vertex of the run of x scanned last; if it is v or
+    # earlier, that run does not hold v + 1
+    end: dict[int, int] = {}
     out: list[frozenset[int]] = []
     taken: frozenset[int] = frozenset()
     for v in range(m):
@@ -198,15 +200,20 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
         if len(avail) < need:
             break
         if len(avail) > need:
-            runs = shared[v]
-            first = sorted(avail.difference(runs))
+            nxt = L[v + 1] if v < last else frozenset()
+            first = sorted(avail - nxt)
             if len(first) < need:
-                to_end = m - 1 - v
-                ranked = sorted(
-                    (2, 0, x) if r == to_end else (3, -r, x) if r & 1 else (1, r, x)
-                    for x, r in runs.items()
-                    if x not in taken
-                )
+                ranked = []
+                for x in avail & nxt:
+                    e = end.get(x, v)
+                    if e <= v:
+                        e = v + 1
+                        while e < last and x in L[e + 1]:
+                            e += 1
+                        end[x] = e
+                    r = e - v
+                    ranked.append((2, 0, x) if e == last else (3, -r, x) if r & 1 else (1, r, x))
+                ranked.sort()
                 first += [x for _, _, x in ranked]
             avail = frozenset(first[:need])
         taken = avail
@@ -214,14 +221,16 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
     if len(out) == m:
         return tuple(out)
 
-    # v ran short.  The left end i walks from v down to 0: x in L(i) opens
-    # its run in i..v at i, which adds one to the Hall sum exactly when the
-    # run from i+1, cut off at v, has even length, as every color absent
-    # from L(i+1) does.
+    # v ran short.  The left end i walks from v down to 0, with run[x] the
+    # length of x's run from i, cut off at v: x in L(i) opens its run in
+    # i..v at i, which adds one to the Hall sum exactly when that length is
+    # odd, as it is for every color absent from L(i+1).
     found = None
     alpha = demand = 0
+    run: dict[int, int] = {}
     for i in range(v, -1, -1):
-        alpha += len(L[i]) - sum([min(r, v - i) & 1 for r in shared[i].values()])
+        run = {x: run.get(x, 0) + 1 for x in L[i]}
+        alpha += sum([r & 1 for r in run.values()])
         demand += w[i]
         if alpha < demand:
             found = i, alpha, demand

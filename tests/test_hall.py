@@ -301,6 +301,14 @@ class TestConstructColoringGeneral:
             construct_coloring_general(L({1}, {1}, {2, 3}), (1, 1, 1))
 
 
+def late_violation(m):
+    """test_cli's late violation: colorable up to its last two vertices,
+    which share one color."""
+    rng = random.Random(5)
+    lists = [frozenset(rng.sample(range(12), 3)) for _ in range(m - 2)]
+    return tuple(lists) + (frozenset({100}),) * 2, (1,) * m
+
+
 class TestGreedy:
     def test_fails_exactly_when_hall_scan_finds_a_violation(self):
         rng = random.Random(2010)
@@ -373,3 +381,48 @@ class TestGreedy:
             found = _greedy(lists, w)
             assert found == reference_greedy(lists, w)
             assert found[1] == colors
+
+    def test_early_no_reads_only_the_prefix(self):
+        # vertices 0 and 1 share the list {0, 1} and demand three colors,
+        # so the path is refused at vertex 1 whatever follows
+        class CountedReads(tuple):
+            reads = 0
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return super().__getitem__(key)
+
+        rng = random.Random(17)
+        m = 100_000
+        lists = (frozenset({0, 1}),) * 2 + tuple(
+            frozenset(rng.sample(range(2, 14), 3)) for _ in range(m - 2)
+        )
+        for head in ((1, 2), (2, 1)):
+            w = head + (1,) * (m - 2)
+            counted = CountedReads(lists)
+            found = _greedy(counted, w)
+            assert found == reference_greedy(lists, w) == Certificate(0, 1, 2, 3)
+            assert counted.reads <= 10, (head, counted.reads)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # every vertex ranks, and every run reaches the path end
+            lambda m: ((frozenset(range(6)),) * m, (2,) * m),
+            # colors 3, 4 and 5 are ranked where their runs of two start;
+            # each such run ends before the next one starts, so the run the
+            # greedy remembers for them has always ended by then
+            lambda m: (
+                tuple(frozenset(range(6 if v % 3 < 2 else 3)) for v in range(m)),
+                (2,) * m,
+            ),
+            late_violation,
+        ],
+        ids=["runs_to_the_end", "runs_restart", "late_violation"],
+    )
+    def test_long_runs_match_reference(self, case):
+        # on the first two, a greedy that scanned a run again at every vertex
+        # it ranks at would take quadratic time: colors 0, 1 and 2 run to
+        # the path end
+        lists, w = case(100_000)
+        assert _greedy(lists, w) == reference_greedy(lists, w)
