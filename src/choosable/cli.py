@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import warnings
+from itertools import islice
 from typing import Any, Iterable
 
 # Each command imports the modules it runs in its body, so a process
@@ -223,6 +224,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
             'deciding a cycle needs a "forced" choice; use the oracle subcommand '
             "for plain cycle instances"
         )
+    del obj  # the decision is all that is written
     print(emit_decision(decision))
     return 0 if decision.colorable else 1
 
@@ -235,6 +237,20 @@ def _ints(values: Iterable[int]) -> str:
     return "[" + ", ".join(map(str, values)) + "]"
 
 
+# Array items per write in ``cmd_waterfall``, so that no string it writes
+# grows with the path.
+_CHUNK = 4096
+
+
+def _write_items(write, items: Iterable[str]) -> None:
+    """Write ``items`` joined by ", ", at most ``_CHUNK`` of them at a time."""
+    items = iter(items)
+    sep = ""
+    while chunk := ", ".join(islice(items, _CHUNK)):
+        write(sep + chunk)
+        sep = ", "
+
+
 def cmd_waterfall(args: argparse.Namespace) -> int:
     from .waterfall import to_waterfall
 
@@ -242,18 +258,25 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
     if isinstance(obj, FreeChoiceInstance) or obj.topology is not Topology.PATH:
         raise InvalidInputError("the waterfall transform applies to path instances")
     transformed, report = to_waterfall(obj.lists, obj.weights)
+    del obj  # only the transform and its report are written
     # All that can fail is done, so stdout gets the whole document or
-    # nothing.  Each section is built as one string just before it is
-    # written, with no dict per event and no token list from json, so at
-    # most one section is held at a time.  Every value is an int, so the
-    # bytes are those of json.dumps with its default separators.
+    # nothing.  Each array is written a chunk of items at a time, with no
+    # dict per event and no token list from json, so what is held besides
+    # the transform and its report is bounded whatever the path's length.
+    # Every value is an int, so the bytes are those of json.dumps with its
+    # default separators.
     write = sys.stdout.write
-    write('{"lists": [' + ", ".join(_ints(sorted(entry)) for entry in transformed))
-    write('], "report": {"run_renames": [' + ", ".join(_EVENT % e for e in report.run_renames))
-    write('], "relabel_map": [' + ", ".join("[%d, %d]" % p for p in sorted(report.relabel_map)))
-    write('], "replacements": [' + ", ".join(_EVENT % e for e in report.replacements))
-    write('], "fresh_colors": ' + _ints(sorted(report.fresh_colors)))
-    write(', "iterations": %d}}\n' % report.iterations)
+    write('{"lists": [')
+    _write_items(write, (_ints(sorted(entry)) for entry in transformed))
+    write('], "report": {"run_renames": [')
+    _write_items(write, (_EVENT % e for e in report.run_renames))
+    write('], "relabel_map": [')
+    _write_items(write, ("[%d, %d]" % p for p in sorted(report.relabel_map)))
+    write('], "replacements": [')
+    _write_items(write, (_EVENT % e for e in report.replacements))
+    write('], "fresh_colors": [')
+    _write_items(write, map(str, sorted(report.fresh_colors)))
+    write('], "iterations": %d}}\n' % report.iterations)
     return 0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .hall import _decide
 from .model import (
     Decision,
     FreeChoiceInstance,
@@ -121,6 +120,8 @@ def solve_free_choice(fi: FreeChoiceInstance) -> Decision:
     forced set as their whole list, so each takes exactly that set: the
     rotated coloring is proper on the wrap edge too and keeps the pin.
     """
+    from .hall import _decide  # only here, so fchr and the other formulas skip hall
+
     decision = _decide(cycle_to_path(fi))
     if not decision.colorable:
         return decision

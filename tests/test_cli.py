@@ -10,6 +10,7 @@ import pytest
 
 from choosable import Certificate, Decision, Instance, counterexample_list, to_waterfall
 from choosable.cli import (
+    _CHUNK,
     ParseError,
     emit_decision,
     emit_instance,
@@ -322,23 +323,57 @@ class TestMain:
         # every path past the single vertex takes stage 3 at least once
         assert all('"iterations": 0}' not in out for out in outputs[2:])
 
-    def test_waterfall_memory_on_a_long_path(self, tmp_path, capsys):
-        # the document is written section by section: no dict per event and
-        # no json token list, so the peak stays near the transform's own
-        # (about 2.3 MB; a dict per event dumped by json peaks at 5.8 MB)
-        weights, lists = planted_good_path(21, 900)
+    def test_waterfall_document_spans_chunks(self, tmp_path, capsys):
+        # every array of the document is written in more than one chunk
+        weights, lists = planted_good_path(21, 6000)
+        transformed, report = to_waterfall(lists, weights)
+        sections = (
+            transformed,
+            report.run_renames,
+            report.relabel_map,
+            report.replacements,
+            report.fresh_colors,
+        )
+        assert [len(section) for section in sections] == [6000, 18741, 10321, 5619, 24360]
+        assert min(map(len, sections)) > _CHUNK
+        doc = json.dumps({"graph": "path", "weights": weights, "lists": lists})
+        assert main(["waterfall", self._doc(tmp_path, doc)]) == 0
+        expected = json.dumps(reference_waterfall_doc(transformed, report)) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def _peak(self, tmp_path, capsys, command, m):
+        """The ``tracemalloc`` peak of ``command`` on a good path of ``m`` vertices."""
+        weights, lists = planted_good_path(21, m)
         text = json.dumps({"graph": "path", "weights": weights, "lists": lists})
         doc = self._doc(tmp_path, text)
         # a first run keeps one-time setup out of the measured peak
-        assert main(["waterfall", self._doc(tmp_path, PATH_DOC, "warm.json")]) == 0
+        assert main([command, self._doc(tmp_path, PATH_DOC, "warm.json")]) == 0
         tracemalloc.start()
         try:
-            assert main(["waterfall", doc]) == 0
+            assert main([command, doc]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert peak < 3.5 * 2**20
+        return peak
+
+    def test_waterfall_memory_on_a_long_path(self, tmp_path, capsys):
+        # the document is written a chunk at a time: no dict per event and
+        # no json token list, so the peak stays near the transform's own
+        # (about 2.0 MB; a dict per event dumped by json peaks at 5.8 MB)
+        assert self._peak(tmp_path, capsys, "waterfall", 900) < 3.5 * 2**20
+
+    def test_waterfall_writes_without_the_instance(self, tmp_path, capsys):
+        # the parsed instance is dropped once the transform is made, and
+        # each array goes out a chunk at a time: about 21.6 MB at 10^4
+        # vertices, 26.8 MB while the instance was kept and each section
+        # built as one string
+        assert self._peak(tmp_path, capsys, "waterfall", 10_000) < 24 * 2**20
+
+    def test_decide_writes_without_the_instance(self, tmp_path, capsys):
+        # the parsed instance is dropped once the decision is made: about
+        # 9.4 MB at 10^4 vertices, 11.5 MB while it was kept
+        assert self._peak(tmp_path, capsys, "decide", 10_000) < 10.5 * 2**20
 
     def test_verify_valid_and_invalid(self, tmp_path, capsys):
         inst = self._doc(tmp_path, PATH_DOC)

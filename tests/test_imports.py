@@ -29,7 +29,8 @@ CYCLE_DOC = (
 COLORING_DOC = "[[1], [2]]"
 
 BASE = {"choosable", "choosable.cli", "choosable.model"}
-CYCLES = BASE | {"choosable.cycles", "choosable.hall", "fractions"}
+FORMULAS = BASE | {"choosable.cycles", "fractions"}
+CYCLES = FORMULAS | {"choosable.hall"}
 
 # command, with {path}, {cycle} and {coloring} for input files -> its exit
 # code and the package modules it loads, with ``fractions`` if it loads that
@@ -39,9 +40,9 @@ LOADS = {
     "waterfall {path}": (0, BASE | {"choosable.waterfall"}),
     "oracle {path}": (0, BASE | {"choosable.oracle"}),
     "decide {cycle}": (1, CYCLES),
-    "fchr --n 8": (0, CYCLES),
-    "free-choosable --a 9 --b 4 --n 8": (0, CYCLES),
-    "counterexample --a 4 --b 2 --n 4": (0, CYCLES),
+    "fchr --n 8": (0, FORMULAS),
+    "free-choosable --a 9 --b 4 --n 8": (0, FORMULAS),
+    "counterexample --a 4 --b 2 --n 4": (0, FORMULAS),
 }
 
 PROBE = """
