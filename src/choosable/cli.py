@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import warnings
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Iterable
 
 # Each command imports the modules it runs in its body, so a process
@@ -37,6 +37,7 @@ from .model import (
     InvalidInputError,
     SearchBudget,
     Topology,
+    _check_good,
     validate_coloring,
 )
 
@@ -216,9 +217,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
         decision = solve_free_choice(obj)
     elif obj.topology is Topology.PATH:
-        from .hall import hall_check_path
+        from .hall import _decide
 
-        decision = hall_check_path(obj.lists, obj.weights)
+        decision = _decide(obj)
     else:
         raise InvalidInputError(
             'deciding a cycle needs a "forced" choice; use the oracle subcommand '
@@ -252,22 +253,33 @@ def _write_items(write, items: Iterable[str]) -> None:
 
 
 def cmd_waterfall(args: argparse.Namespace) -> int:
-    from .waterfall import to_waterfall
+    from .waterfall import _runs, _stages
 
     obj = parse_instance(_read(args.file))
     if isinstance(obj, FreeChoiceInstance) or obj.topology is not Topology.PATH:
         raise InvalidInputError("the waterfall transform applies to path instances")
-    transformed, report = to_waterfall(obj.lists, obj.weights)
-    del obj  # only the transform and its report are written
+    _check_good(obj.lists, obj.weights)
+    m = obj.n_vertices
+    spans = _runs(obj.lists)
+    del obj  # the stages read the runs alone
+    lists, report = _stages(spans, m)
+    if lists is None:  # already in waterfall form: each span covers one or two vertices
+        lists = [[] for _ in range(m)]
+        for first, last, x in spans:
+            lists[first].append(x)
+            if last > first:
+                lists[last].append(x)
+    del spans
     # All that can fail is done, so stdout gets the whole document or
     # nothing.  Each array is written a chunk of items at a time, with no
     # dict per event and no token list from json, so what is held besides
-    # the transform and its report is bounded whatever the path's length.
-    # Every value is an int, so the bytes are those of json.dumps with its
-    # default separators.
+    # the labels and the report is bounded whatever the path's length.
+    # Fresh labels are issued by one counter, stage 1's before stage 3's,
+    # so their issue order is ascending.  Every value is an int, so the
+    # bytes are those of json.dumps with its default separators.
     write = sys.stdout.write
     write('{"lists": [')
-    _write_items(write, (_ints(sorted(entry)) for entry in transformed))
+    _write_items(write, (_ints(sorted(labels)) for labels in lists))
     write('], "report": {"run_renames": [')
     _write_items(write, (_EVENT % e for e in report.run_renames))
     write('], "relabel_map": [')
@@ -275,7 +287,8 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
     write('], "replacements": [')
     _write_items(write, (_EVENT % e for e in report.replacements))
     write('], "fresh_colors": [')
-    _write_items(write, map(str, sorted(report.fresh_colors)))
+    fresh = chain(report.run_renames, report.replacements)
+    _write_items(write, ("%d" % new for _, new, _, _ in fresh))
     write('], "iterations": %d}}\n' % report.iterations)
     return 0
 

@@ -17,8 +17,10 @@ Each stage preserves per-vertex list sizes and colorability in both
 directions, stage 3 thanks to the good-list bound.  The report is plain
 data: stages 1 and 3 as ``(old, new, start, end)`` tuples, "old becomes
 new on vertices start..end", and stage 2 as ``(old, new)`` pairs.  The
-events of all three stages depend only on the input's maximal color runs,
-so ``to_waterfall`` plans them and places each label as it is issued.
+events of all three stages depend only on the input's maximal color runs:
+``_runs`` scans them, and ``_stages`` plans the stages from the runs alone
+and places each label as it is issued, so once the scan is done the input
+list is no longer needed; the command line drops its instance there.
 Read in input colors, a coloring of the transformed list conflicts only
 where two labels of one run meet, and ``pull_back_coloring``, replaying
 the report it is given in one checked walk, repairs those places in one
@@ -26,12 +28,16 @@ right-to-left sweep.
 
 Fresh colors are chosen as the smallest integer larger than every color
 seen so far, so outputs are deterministic and fresh labels never collide
-with the input's amplitude.
+with the input's amplitude.  One counter issues them, stage 1's before
+stage 3's, so the ``new`` labels of ``run_renames`` and then
+``replacements`` ascend: they are ``fresh_colors`` in order, and the
+command line writes them so, with no sort.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable
 
 from .model import (
@@ -109,11 +115,24 @@ def to_waterfall(
 
 
 def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
-    """The transformed list and its report, read off the maximal color runs of ``L``.
+    """The transformed list and its report: the stages run on the maximal runs of ``L``.
 
-    Labels are placed as issued; a list in waterfall form gets the empty report.
+    A list in waterfall form is returned as it is, with the empty report.
     """
-    # (first, color, last) of each maximal run: lost colors close runs, gained ones open them
+    runs = _runs(L)
+    out, report = _stages(runs, len(L))
+    if out is None:
+        return L, report
+    for v, colors in enumerate(out):
+        out[v] = frozenset(colors)
+    return tuple(out), report
+
+
+def _runs(L: ListAssignment) -> list[tuple[int, int, int]]:
+    """(first, color, last) of each maximal color run of ``L``, sorted.
+
+    A color lost from one list to the next closes its run, a gained one opens one.
+    """
     runs = []
     opened: dict[int, int] = {}
     prev: frozenset[int] = frozenset()
@@ -123,37 +142,55 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
         for x in colors - prev:
             opened[x] = v
         prev = colors
-    del opened  # empty now, but a dict keeps the table it grew to
     runs.sort()
-    fresh = max((x for _, x, _ in runs), default=-1) + 1
+    return runs
 
+
+def _stages(
+    runs: list[tuple[int, int, int]], m: int
+) -> tuple[list[list[int]] | None, TransformReport]:
+    """Each vertex's labels and the report, planned from the sorted runs of an ``m``-vertex list.
+
+    Stage 1 rewrites ``runs`` into the spans, (first, last, label), in
+    place, so the scan's result is never held twice.  A list in waterfall
+    form gets None for its lists and the empty report, and ``runs`` keeps
+    its spans, each on one or two vertices; otherwise stage 3 empties
+    ``runs`` as it starts.  Each vertex's labels are in the order they were
+    placed, not sorted.
+    """
     # Stage 1: detached runs, left to right (ties by color), each get their
-    # own fresh label.  spans holds (first, last, label) of every color of
-    # the normalized list.
-    run_renames, spans, seen = [], [], set()
-    for first, x, last in runs:
+    # own fresh label.  Fresh labels count up from above every input color,
+    # so only input colors need to be remembered.
+    first_fresh = fresh = max((x for _, x, _ in runs), default=-1) + 1
+    run_renames, seen = [], set()
+    for k, (first, x, last) in enumerate(runs):
         if x in seen:
             run_renames.append((x, fresh, first, last))
             x, fresh = fresh, fresh + 1
-        seen.add(x)
-        spans.append((first, last, x))
-    del runs
+        else:
+            seen.add(x)
+        runs[k] = (first, last, x)
+    spans = runs
     if not run_renames and all(last - first < 2 for first, last, _ in spans):
-        return L, TransformReport()
+        return None, TransformReport()
 
     # Stage 2: the k-th span in (first, last, label) order takes the k-th
-    # smallest label, fresh run labels included.
+    # smallest label: the input colors in order, then the fresh ones.
     spans.sort()
-    labels = sorted(seen)
+    labels = chain(sorted(seen), range(first_fresh, fresh))
     del seen
-    relabel = tuple((x, new) for (_, _, x), new in zip(spans, labels) if x != new)
+    relabel = []
+    for k, ((first, last, x), new) in enumerate(zip(spans, labels)):
+        if x != new:
+            relabel.append((x, new))
+        spans[k] = (new, first, last)
 
     # Stage 3: labels now follow span order and each fresh label exceeds
     # every label before it, so first in, first out is the order of
     # "smallest long x".
-    out: list[list[int]] = [[] for _ in L]
-    queue = deque((new, first, last) for (first, last, _), new in zip(spans, labels))
-    del spans, labels
+    queue = deque(spans)
+    spans.clear()
+    out: list[list[int]] = [[] for _ in range(m)]
     replacements = []
     while queue:
         x, first, last = queue.popleft()
@@ -164,9 +201,7 @@ def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
             replacements.append((x, fresh, first + 2, last))
             queue.append((fresh, first + 2, last))
             fresh += 1
-    for v, colors in enumerate(out):
-        out[v] = frozenset(colors)
-    return tuple(out), TransformReport(tuple(run_renames), relabel, tuple(replacements))
+    return out, TransformReport(tuple(run_renames), tuple(relabel), tuple(replacements))
 
 
 def _replay(L: ListAssignment, report: TransformReport) -> tuple[list[set[int]], dict[int, int]]:

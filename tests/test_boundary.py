@@ -3,11 +3,14 @@
 Every public operation on a path coerces its lists through ``Instance`` (or
 ``as_lists``) exactly once, whatever type the lists arrive in, and hands
 the checked tuples inward; nothing below an entry point coerces again.
-Scalar parameters, interval ends and the good-list bound each have one
-check that every entry shares, so they fail alike wherever they enter, and
-a container of the wrong shape is invalid input like a bad color.
+The command line decides or scans the instance it parsed, so a command
+coerces its lists once too.  Scalar parameters, interval ends and the
+good-list bound each have one check that every entry shares, so they fail
+alike wherever they enter, and a container of the wrong shape is invalid
+input like a bad color.
 """
 
+import json
 import re
 import sys
 
@@ -41,6 +44,7 @@ from choosable import (
     to_waterfall,
     validate_coloring,
 )
+from choosable.cli import main
 from helpers import L
 
 BAD_COLORS = [-2, True, "a"]
@@ -301,4 +305,17 @@ CALLS = {
 @pytest.mark.parametrize("entry", sorted(CALLS))
 def test_one_call_coerces_its_lists_once(entry, as_lists_calls):
     CALLS[entry]()
+    assert len(as_lists_calls) == 1
+
+
+GOOD_DOC = json.dumps({"graph": "path", "weights": ONES, "lists": [sorted(x) for x in GOOD]})
+
+
+@pytest.mark.parametrize("command", ["decide", "waterfall"])
+def test_one_command_coerces_its_lists_once(command, tmp_path, capsys, as_lists_calls):
+    # the parsed instance is what the command decides or scans, not coerced again
+    path = tmp_path / "good.json"
+    path.write_text(GOOD_DOC, encoding="utf-8")
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
     assert len(as_lists_calls) == 1

@@ -8,7 +8,14 @@ import tracemalloc
 
 import pytest
 
-from choosable import Certificate, Decision, Instance, counterexample_list, to_waterfall
+from choosable import (
+    Certificate,
+    Decision,
+    Instance,
+    TransformReport,
+    counterexample_list,
+    to_waterfall,
+)
 from choosable.cli import (
     _CHUNK,
     ParseError,
@@ -149,10 +156,10 @@ class TestMain:
     def test_unexpected_exception_exit_three(self, tmp_path, capsys, monkeypatch):
         import choosable.hall as hall
 
-        def boom(lists, weights):
+        def boom(inst):
             raise RuntimeError("forced\nfailure")
 
-        monkeypatch.setattr(hall, "hall_check_path", boom)
+        monkeypatch.setattr(hall, "_decide", boom)
         rc = main(["decide", self._doc(tmp_path, PATH_DOC)])
         assert rc == 3
         err = capsys.readouterr().err
@@ -341,6 +348,24 @@ class TestMain:
         expected = json.dumps(reference_waterfall_doc(transformed, report)) + "\n"
         assert capsys.readouterr().out == expected
 
+    def test_waterfall_form_input_spans_chunks(self, tmp_path, capsys):
+        # a list already in waterfall form takes the early exit, whose
+        # lists are placed from the spans; its labels are shuffled, so
+        # their order disagrees with the order of their spans
+        weights, lists = planted_good_path(22, 6000)
+        transformed, _ = to_waterfall(lists, weights)
+        labels = sorted(set().union(*transformed))
+        shuffled = labels[:]
+        random.Random(22).shuffle(shuffled)
+        rename = dict(zip(labels, shuffled))
+        lists = [[rename[x] for x in entry] for entry in transformed]
+        moved, report = to_waterfall(lists, weights)
+        assert report == TransformReport() and len(moved) > _CHUNK
+        doc = json.dumps({"graph": "path", "weights": weights, "lists": lists})
+        assert main(["waterfall", self._doc(tmp_path, doc)]) == 0
+        expected = json.dumps(reference_waterfall_doc(moved, report)) + "\n"
+        assert capsys.readouterr().out == expected
+
     def _peak(self, tmp_path, capsys, command, m):
         """The ``tracemalloc`` peak of ``command`` on a good path of ``m`` vertices."""
         weights, lists = planted_good_path(21, m)
@@ -358,17 +383,19 @@ class TestMain:
         return peak
 
     def test_waterfall_memory_on_a_long_path(self, tmp_path, capsys):
-        # the document is written a chunk at a time: no dict per event and
-        # no json token list, so the peak stays near the transform's own
-        # (about 2.0 MB; a dict per event dumped by json peaks at 5.8 MB)
-        assert self._peak(tmp_path, capsys, "waterfall", 900) < 3.5 * 2**20
+        # the document is written a chunk at a time from the labels the
+        # stages place, with no dict per event, no json token list and no
+        # sorted copy of the fresh labels: about 1.4 MiB (2.0 MiB from a
+        # tuple of frozensets, 5.8 MiB with a dict per event dumped by json)
+        assert self._peak(tmp_path, capsys, "waterfall", 900) < 1.7 * 2**20
 
     def test_waterfall_writes_without_the_instance(self, tmp_path, capsys):
-        # the parsed instance is dropped once the transform is made, and
-        # each array goes out a chunk at a time: about 21.6 MB at 10^4
-        # vertices, 26.8 MB while the instance was kept and each section
-        # built as one string
-        assert self._peak(tmp_path, capsys, "waterfall", 10_000) < 24 * 2**20
+        # the parsed instance is dropped once its runs are scanned, the
+        # stages' per-vertex label lists are written as they are, and each
+        # array goes out a chunk at a time: about 12.8 MiB at 10^4
+        # vertices, 21.6 MiB while the transform was held as frozensets
+        # beside the instance, 26.8 MiB while each section was one string
+        assert self._peak(tmp_path, capsys, "waterfall", 10_000) < 16 * 2**20
 
     def test_decide_writes_without_the_instance(self, tmp_path, capsys):
         # the parsed instance is dropped once the decision is made: about

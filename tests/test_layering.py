@@ -16,6 +16,9 @@ invariant is raised only where a theorem of the paper, not the code just
 run, is what rules it out.  ``to_waterfall`` builds its list in the pass
 that plans it; only the pull-back, which takes any caller's report,
 replays one event by event, and an event is a plain tuple, not a record.
+``choosable waterfall`` writes the labels the stages place and the fresh
+labels in the order they were issued, never the tuple of frozensets that
+``to_waterfall`` returns or a sorted copy of ``fresh_colors``.
 """
 
 import ast
@@ -195,3 +198,24 @@ def test_waterfall_events_are_no_records():
         and any(getattr(base, "id", "") == "_Record" for base in node.bases)
     ]
     assert records == ["TransformReport"]
+
+
+def test_waterfall_command_streams_from_the_stages():
+    # to_waterfall would hold a frozenset per vertex while the document is
+    # written, and fresh_colors a frozenset of every fresh label to sort
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    (command,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_waterfall"
+    ]
+    names = set()
+    for node in ast.walk(command):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    assert {"_runs", "_stages", "run_renames"} <= names  # the walk sees what it writes
+    assert not names & {"to_waterfall", "fresh_colors"}, names

@@ -149,6 +149,30 @@ class TestToWaterfall:
             _, report = to_waterfall(lists, w)
             assert report.iterations <= measure
 
+    def test_fresh_labels_are_issued_in_ascending_order(self):
+        # the command writes fresh_colors as the new labels of the events,
+        # stage 1's then stage 3's, unsorted: one counter issues them all
+        cases = []
+        for seed in range(3):
+            for shape in ((), (1, 3, 5)):
+                w, lists = planted_good_path(seed, 300, *shape)
+                cases.append((lists, w))
+        rng = random.Random(93)
+        while len(cases) < 500:
+            # the tiny lists of C3: four vertices over five colors
+            lists = tuple(frozenset(rng.sample(range(1, 6), rng.randint(0, 4))) for _ in range(4))
+            w = tuple(rng.randint(0, 2) for _ in range(4))
+            if is_good(lists, w):
+                cases.append((lists, w))
+        issued = 0
+        for lists, w in cases:
+            _, report = to_waterfall(lists, w)
+            fresh = [new for _, new, _, _ in report.run_renames + report.replacements]
+            assert all(a < b for a, b in zip(fresh, fresh[1:])), lists
+            assert fresh == sorted(report.fresh_colors)
+            issued += len(fresh) > 1
+        assert issued > 100
+
     def test_plan_drops_each_stage_when_done(self):
         # each stage's temporaries go as soon as the next stage starts, and
         # each vertex's list becomes its frozenset in place, so the peak is
