@@ -171,21 +171,28 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
     the sets of such j are nested, so the first w(v) colors keep Hall's
     condition on v+1.. whenever any choice of w(v) colors does.
 
-    A vertex whose colors of the first class number at least w(v) takes the
-    smallest of them without ranking the others, and most vertices do, so
-    runs are measured only where a vertex ranks.  There x's run is read off
-    ``end[x]``, the last vertex of the run of x measured last: if that run
-    reaches past v it holds v+1, and otherwise the run is scanned from v+1
-    to its end.  A scan starts past every vertex an earlier scan of x
-    reached, so each list is scanned at most once per color and a full
-    pass stays linear in the sum of the list sizes.
+    The first class is one chained difference, L(v) - c(v-1) - L(v+1).  A
+    vertex takes it whole when it holds exactly w(v) colors and its w(v)
+    smallest colors when it holds more; most vertices do one or the other
+    and rank nothing.  Only where it falls short is L(v) - c(v-1) formed:
+    the vertex runs short if that holds fewer than w(v) colors, takes it
+    whole if exactly w(v), and otherwise ranks the colors it shares with
+    L(v+1), so runs are measured only where a vertex ranks.  There x's run
+    is read off ``end[x]``, the last vertex of the run of x measured last:
+    if that run reaches past v it holds v+1, and otherwise the run is
+    scanned from v+1 to its end.  A scan starts past every vertex an earlier
+    scan of x reached, so each list is scanned at most once per color and a
+    full pass stays linear in the sum of the list sizes.
 
     Each vertex takes exactly w(v) colors of its own list, none of them in
     c(v-1), so a full pass is a proper coloring with nothing left to check.
     When vertex v runs short, vertices 0..v-1 are properly colored, so no
     violated subpath ends before v.  The return value is then the violated
     subpath ending at v with the smallest left end, or None if there is
-    none, which ``_decide`` treats as a broken invariant.
+    none, which ``_decide`` treats as a broken invariant.  One pass over the
+    left end i from v down to 0 finds it, with one set difference per
+    vertex: the colors of L(i) whose run from i, cut off at v, has odd
+    length are L(i) less those of i + 1.
     """
     m = len(L)
     last = m - 1
@@ -196,13 +203,19 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
     taken: frozenset[int] = frozenset()
     for v in range(m):
         need = w[v]
-        avail = L[v] - taken
-        if len(avail) < need:
-            break
-        if len(avail) > need:
-            nxt = L[v + 1] if v < last else frozenset()
-            first = sorted(avail - nxt)
-            if len(first) < need:
+        nxt = L[v + 1] if v < last else frozenset()
+        # chained: L[v].difference(taken, nxt) would copy L(v)'s hash table
+        # into every set it returns, the ones kept in the coloring included
+        first = L[v] - taken - nxt
+        if len(first) == need:
+            taken = first
+        elif len(first) > need:
+            taken = frozenset(sorted(first)[:need])
+        else:
+            avail = L[v] - taken
+            if len(avail) < need:
+                break
+            if len(avail) > need:
                 ranked = []
                 for x in avail & nxt:
                     e = end.get(x, v)
@@ -214,23 +227,23 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
                     r = e - v
                     ranked.append((2, 0, x) if e == last else (3, -r, x) if r & 1 else (1, r, x))
                 ranked.sort()
-                first += [x for _, _, x in ranked]
-            avail = frozenset(first[:need])
-        taken = avail
+                avail = frozenset(sorted(first) + [x for _, _, x in ranked[: need - len(first)]])
+            taken = avail
         out.append(taken)
     if len(out) == m:
         return tuple(out)
 
-    # v ran short.  The left end i walks from v down to 0, with run[x] the
-    # length of x's run from i, cut off at v: x in L(i) opens its run in
-    # i..v at i, which adds one to the Hall sum exactly when that length is
-    # odd, as it is for every color absent from L(i+1).
+    # v ran short.  The left end i walks from v down to 0, with odd the
+    # colors x of L(i) whose run from i, cut off at v, has odd length: x
+    # opens its run in i..v at i, which adds one to the Hall sum exactly
+    # then.  That run is odd exactly when x's run from i + 1 is even or
+    # empty, so odd is L(i) less the odd set of i + 1.
     found = None
     alpha = demand = 0
-    run: dict[int, int] = {}
+    odd: frozenset[int] = frozenset()
     for i in range(v, -1, -1):
-        run = {x: run.get(x, 0) + 1 for x in L[i]}
-        alpha += sum([r & 1 for r in run.values()])
+        odd = L[i] - odd
+        alpha += len(odd)
         demand += w[i]
         if alpha < demand:
             found = i, alpha, demand

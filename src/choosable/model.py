@@ -345,14 +345,14 @@ def is_waterfall(lists: Iterable[Iterable[int]]) -> bool:
 
 
 def _is_waterfall(L: ListAssignment) -> bool:
-    spans: dict[int, tuple[int, int]] = {}
-    for v, colors in enumerate(L):
-        for x in colors:
-            span = spans.get(x)
-            if span is None:
-                spans[x] = (v, v)
-            elif span == (v - 1, v - 1):
-                spans[x] = (v - 1, v)
-            else:
-                return False
+    # Waterfall form means no color sits on two lists at distance two or
+    # more.  ``before`` is the union of L(0..v-2): a color of L(v) may also
+    # sit on L(v-1), but never on an earlier list.
+    before: set[int] = set()
+    prev: frozenset[int] = frozenset()
+    for colors in L:
+        if not before.isdisjoint(colors):
+            return False
+        before |= prev
+        prev = colors
     return True

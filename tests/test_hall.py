@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from choosable import (
     Certificate,
+    FreeChoiceInstance,
     Instance,
     InvalidInputError,
     NotWaterfallError,
@@ -18,6 +20,7 @@ from choosable import (
     decide_waterfall_prefix,
     hall_check_path,
     hall_summands,
+    solve_free_choice,
     validate_coloring,
 )
 from choosable.hall import _greedy
@@ -384,13 +387,22 @@ class TestGreedy:
 
     def test_early_no_reads_only_the_prefix(self):
         # vertices 0 and 1 share the list {0, 1} and demand three colors,
-        # so the path is refused at vertex 1 whatever follows
+        # so the path is refused at vertex 1 whatever follows.  A slice
+        # counts as the items it copies; iterating over or concatenating
+        # the whole path, as padding it with an empty list would, fails.
         class CountedReads(tuple):
             reads = 0
 
             def __getitem__(self, key):
-                self.reads += 1
-                return super().__getitem__(key)
+                got = super().__getitem__(key)
+                self.reads += len(got) if isinstance(key, slice) else 1
+                return got
+
+            def __iter__(self):
+                raise AssertionError("the greedy iterated over the whole path")
+
+            def __add__(self, other):
+                raise AssertionError("the greedy copied the whole path")
 
         rng = random.Random(17)
         m = 100_000
@@ -426,3 +438,30 @@ class TestGreedy:
         # the path end
         lists, w = case(100_000)
         assert _greedy(lists, w) == reference_greedy(lists, w)
+
+    def test_kept_sets_are_sized_like_fresh_ones(self):
+        # on these paths every color set the greedy keeps is sized like one
+        # built from its own colors; L(v).difference(taken, nxt) would copy
+        # L(v)'s hash table into each returned set, and the pinned 900-cycle
+        # would keep hundreds of such oversized sets
+        def resized(coloring):
+            return [
+                v
+                for v, colors in enumerate(coloring)
+                if sys.getsizeof(colors) != sys.getsizeof(frozenset(sorted(colors)))
+            ]
+
+        rng = random.Random(900)
+        lists = [rng.sample(range(10), 5) for _ in range(900)]
+        v0 = rng.randrange(900)
+        fi = FreeChoiceInstance(
+            Instance.cycle((2,) * 900, lists), v0, frozenset(lists[v0][:2])
+        )
+        decision = solve_free_choice(fi)
+        assert decision.colorable
+        assert resized(decision.coloring) == []
+        for seed in range(4):
+            w, lists = planted_good_path(seed, 900)
+            decision = hall_check_path(lists, w)
+            assert decision.colorable, seed
+            assert resized(decision.coloring) == [], seed

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from choosable import (
     brute_force,
     is_good,
     is_waterfall,
+    to_waterfall,
     validate_coloring,
 )
 from helpers import L
@@ -117,6 +120,34 @@ class TestIsWaterfall:
 
     def test_three_consecutive(self):
         assert not is_waterfall(L({1}, {1}, {1}))
+
+    def test_matches_definition_exhaustively(self):
+        # the definition: no color sits on two lists at distance two or more
+        def by_definition(lists):
+            return not any(
+                lists[i] & lists[j]
+                for i in range(len(lists))
+                for j in range(i + 2, len(lists))
+            )
+
+        subsets = [
+            frozenset(colors)
+            for size in range(5)
+            for colors in itertools.combinations((1, 2, 3, 4), size)
+        ]
+        checked = 0
+        for m in range(1, 5):
+            for lists in itertools.product(subsets, repeat=m):
+                assert is_waterfall(lists) == by_definition(lists), lists
+                checked += 1
+        assert checked == 69_904
+
+    def test_long_paths(self):
+        m = 10**5
+        transformed, _ = to_waterfall([[0, 1]] * m, [0] * m)
+        assert is_waterfall(transformed)
+        # distinct singletons, with color 0 back at the far end
+        assert not is_waterfall([[v] for v in range(m - 1)] + [[0]])
 
     @settings(max_examples=150, deadline=None)
     @given(small_lists)
