@@ -260,16 +260,9 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
         raise InvalidInputError("the waterfall transform applies to path instances")
     _check_good(obj.lists, obj.weights)
     m = obj.n_vertices
-    spans = _runs(obj.lists)
+    runs = _runs(obj.lists)
     del obj  # the stages read the runs alone
-    lists, report = _stages(spans, m)
-    if lists is None:  # already in waterfall form: each span covers one or two vertices
-        lists = [[] for _ in range(m)]
-        for first, last, x in spans:
-            lists[first].append(x)
-            if last > first:
-                lists[last].append(x)
-    del spans
+    lists, report = _stages(runs, m)
     # All that can fail is done, so stdout gets the whole document or
     # nothing.  Each array is written a chunk of items at a time, with no
     # dict per event and no token list from json, so what is held besides

@@ -26,6 +26,7 @@ Color = int
 ListAssignment = tuple[frozenset[int], ...]
 Weights = tuple[int, ...]
 Coloring = tuple[frozenset[int], ...]
+_REREAD = (frozenset, list, tuple, set)  # color collections that can be read twice
 
 
 class InvalidInputError(ValueError):
@@ -75,17 +76,23 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
     Duplicate colors within one entry collapse silently; lists are sets.
     Every color must be a non-negative integer, whatever the input's type.
     """
-    out = []
     try:
-        for entry in lists:
-            colors = frozenset(entry)
-            for color in colors:
-                # the plain-int test alone passes nearly every color
-                if type(color) is not int or color < 0:
-                    _int_at_least(color, 0, "colors must be non-negative integers")
-            out.append(colors)
+        return _frozensets(lists)
     except TypeError as exc:
         raise InvalidInputError(f"lists must be collections of colors: {exc}") from None
+
+
+def _frozensets(entries) -> tuple[frozenset[int], ...]:
+    """Each entry as a frozenset, each color checked as given: a frozenset drops 1.0 beside 1."""
+    out = []
+    for entry in entries:
+        if type(entry) not in _REREAD:  # read an iterator once
+            entry = tuple(entry)
+        out.append(frozenset(entry))
+        for color in entry:
+            # the plain-int test alone passes nearly every color
+            if type(color) is not int or color < 0:
+                _int_at_least(color, 0, "colors must be non-negative integers")
     return tuple(out)
 
 
@@ -277,7 +284,8 @@ def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool
 
     True iff every vertex gets exactly ``w(v)`` colors, all from ``L(v)``,
     and the endpoints of every edge (wrap edge included) receive disjoint
-    sets.  A coloring with the wrong number of entries is rejected outright.
+    sets.  A coloring with the wrong number of entries, or with a color that
+    is not a non-negative integer, raises ``InvalidInputError``.
     """
     return _proper(inst.lists, inst.weights, coloring, inst.edges()) is not None
 
@@ -285,7 +293,7 @@ def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool
 def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> Coloring | None:
     """``validate_coloring`` on checked lists and weights: the coloring if proper, else None."""
     try:
-        c = tuple(frozenset(entry) for entry in coloring)
+        c = _frozensets(coloring)
     except TypeError as exc:
         raise InvalidInputError(f"a coloring must be collections of colors: {exc}") from None
     if len(c) != len(L):

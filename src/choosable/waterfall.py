@@ -117,12 +117,10 @@ def to_waterfall(
 def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
     """The transformed list and its report: the stages run on the maximal runs of ``L``.
 
-    A list in waterfall form is returned as it is, with the empty report.
+    A list already in waterfall form comes back equal, as new frozensets,
+    with the empty report.
     """
-    runs = _runs(L)
-    out, report = _stages(runs, len(L))
-    if out is None:
-        return L, report
+    out, report = _stages(_runs(L), len(L))
     for v, colors in enumerate(out):
         out[v] = frozenset(colors)
     return tuple(out), report
@@ -148,15 +146,14 @@ def _runs(L: ListAssignment) -> list[tuple[int, int, int]]:
 
 def _stages(
     runs: list[tuple[int, int, int]], m: int
-) -> tuple[list[list[int]] | None, TransformReport]:
+) -> tuple[list[list[int]], TransformReport]:
     """Each vertex's labels and the report, planned from the sorted runs of an ``m``-vertex list.
 
     Stage 1 rewrites ``runs`` into the spans, (first, last, label), in
-    place, so the scan's result is never held twice.  A list in waterfall
-    form gets None for its lists and the empty report, and ``runs`` keeps
-    its spans, each on one or two vertices; otherwise stage 3 empties
-    ``runs`` as it starts.  Each vertex's labels are in the order they were
-    placed, not sorted.
+    place, so the scan's result is never held twice, and stage 3 empties
+    ``runs``.  A list in waterfall form keeps its colors as labels, so its
+    vertices get their own colors back with the empty report.  Each
+    vertex's labels are in the order they were placed, not sorted.
     """
     # Stage 1: detached runs, left to right (ties by color), each get their
     # own fresh label.  Fresh labels count up from above every input color,
@@ -171,13 +168,13 @@ def _stages(
             seen.add(x)
         runs[k] = (first, last, x)
     spans = runs
-    if not run_renames and all(last - first < 2 for first, last, _ in spans):
-        return None, TransformReport()
 
     # Stage 2: the k-th span in (first, last, label) order takes the k-th
     # smallest label: the input colors in order, then the fresh ones.
     spans.sort()
     labels = chain(sorted(seen), range(first_fresh, fresh))
+    if not run_renames and all(last - first < 2 for first, last, _ in spans):
+        labels = [x for _, _, x in spans]  # waterfall form: no event to order
     del seen
     relabel = []
     for k, ((first, last, x), new) in enumerate(zip(spans, labels)):

@@ -27,6 +27,7 @@ from choosable import (
     TransformReport,
     alpha_path,
     amplitude,
+    as_lists,
     construct_coloring_general,
     construct_coloring_waterfall,
     counterexample_list,
@@ -74,6 +75,55 @@ def test_forced_true_is_no_color():
     # True equals 1, so a subset test against a list holding 1 lets it through
     with pytest.raises(InvalidInputError, match="non-negative integers"):
         FreeChoiceInstance(Instance.cycle((1, 1, 1), [{0, 1}] * 3), 0, {True})
+
+
+# 1.0 and False equal 1 and 0, so a frozenset keeps only the first of a
+# pair: each color is checked as given, in either order
+HIDDEN = [[1, 1.0], [1.0, 1], [0, False], [False, 0], [2, 2.0, 3], [2, 3, 2.0]]
+
+
+@pytest.mark.parametrize("entry", HIDDEN, ids=repr)
+def test_a_duplicate_hides_no_color(entry):
+    (bad,) = [color for color in entry if type(color) is not int]
+    message = f"^colors must be non-negative integers, got {re.escape(repr(bad))}$"
+    with pytest.raises(InvalidInputError, match=message):
+        as_lists([entry])
+    with pytest.raises(InvalidInputError, match=message):
+        as_lists([iter(entry)])
+    with pytest.raises(InvalidInputError, match=message):
+        FreeChoiceInstance(Instance.cycle((1, 1, 1), [{0, 1, 2, 3}] * 3), 0, entry)
+
+
+TWO = Instance.path([1, 1], [[1, 2], [2, 3]])
+
+
+@pytest.mark.parametrize(
+    "first, bad",
+    [([True], True), ([1.0], 1.0), ([1, True], True), (["x"], "x"), ([-1], -1)],
+    ids=repr,
+)
+def test_a_coloring_color_is_checked_like_a_list_color(first, bad):
+    # True and 1.0 equal color 1, so a subset test alone passes them
+    coloring = [first, [2]]
+    message = f"colors must be non-negative integers, got {bad!r}"
+    for run in (
+        lambda: validate_coloring(TWO, coloring),
+        lambda: validate_coloring(TWO, [iter(entry) for entry in coloring]),
+        lambda: pull_back_coloring(TransformReport(), coloring, TWO.lists, TWO.weights),
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run()
+
+
+def test_verify_refuses_a_negative_color(tmp_path, capsys):
+    # the command line parses only integers into a coloring, so a negative
+    # one is the only bad color that reaches the check
+    instance, coloring = tmp_path / "two.json", tmp_path / "c.json"
+    instance.write_text('{"graph": "path", "weights": [1, 1], "lists": [[1, 2], [2, 3]]}')
+    coloring.write_text("[[-1], [2]]")
+    assert main(["verify", str(instance), str(coloring)]) == 2
+    message = "invalid input: colors must be non-negative integers, got -1\n"
+    assert capsys.readouterr() == ("", message)
 
 
 THREE = L({1}, {1, 2}, {1, 3})

@@ -349,9 +349,9 @@ class TestMain:
         assert capsys.readouterr().out == expected
 
     def test_waterfall_form_input_spans_chunks(self, tmp_path, capsys):
-        # a list already in waterfall form takes the early exit, whose
-        # lists are placed from the spans; its labels are shuffled, so
-        # their order disagrees with the order of their spans
+        # a list already in waterfall form keeps its labels through the
+        # stages, which place them like any other; its labels are shuffled,
+        # so their order disagrees with the order of their spans
         weights, lists = planted_good_path(22, 6000)
         transformed, _ = to_waterfall(lists, weights)
         labels = sorted(set().union(*transformed))

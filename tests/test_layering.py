@@ -219,3 +219,6 @@ def test_waterfall_command_streams_from_the_stages():
             names.update(alias.name for alias in node.names)
     assert {"_runs", "_stages", "run_renames"} <= names  # the walk sees what it writes
     assert not names & {"to_waterfall", "fresh_colors"}, names
+    # the stages place every label, a list in waterfall form too, so the
+    # command has no placement loop of its own
+    assert not any(isinstance(node, ast.For) for node in ast.walk(command))

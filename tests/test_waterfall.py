@@ -98,6 +98,22 @@ class TestToWaterfall:
         assert out == lists
         assert report == TransformReport()
 
+    @pytest.mark.parametrize(
+        "lists",
+        [L({7, 2}, {2, 5}, {5, 0, 9}, {3}), L({4, 1}), L(set(), set(), {1}, set())],
+        ids=["shuffled-labels", "one-vertex", "empty-lists"],
+    )
+    def test_stages_give_waterfall_form_its_own_colors(self, lists):
+        # one placement loop for every list: stage 2 keeps each span's own
+        # color, even where span order disagrees with label order, and
+        # stage 3 places each once
+        from choosable.waterfall import _runs, _stages
+
+        out, report = _stages(_runs(lists), len(lists))
+        assert [sorted(labels) for labels in out] == [sorted(colors) for colors in lists]
+        assert report == TransformReport()
+        assert to_waterfall(lists, (0,) * len(lists)) == (lists, report)
+
     def test_span_from_first_vertex(self):
         out, report = to_waterfall(L({1, 2}, {1, 2}, {2, 3}), (1, 1, 1))
         assert out == L({1, 2}, {1, 2}, {4, 3})
