@@ -46,9 +46,9 @@ class ChoiceParameters(_Record):
 
 
 def even_ceil(x: Rational | int) -> int:
-    """Smallest even integer >= x (x non-negative)."""
-    if x < 0:
-        raise InvalidInputError(f"even_ceil needs a non-negative argument, got {x}")
+    """Smallest even integer >= x, a non-negative int or ``Fraction``."""
+    if not isinstance(x, Fraction) or x < 0:
+        _int_at_least(x, 0, "even_ceil needs a non-negative int or Fraction")
     p = math.ceil(x)
     return p + (p & 1)
 
@@ -60,6 +60,8 @@ def endpoint_threshold(params: ChoiceParameters, n: int) -> bool:
     list with |L(0)| = |L(n)| = b and interior sizes a admits a coloring
     giving b colors per vertex.
     """
+    if not isinstance(params, ChoiceParameters):
+        raise InvalidInputError(f"params must be ChoiceParameters, got {type(params).__name__}")
     _int_at_least(n, 0, "n must be a non-negative integer")
     if params.e < 1:
         raise PreconditionError(

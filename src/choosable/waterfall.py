@@ -22,9 +22,10 @@ events of all three stages depend only on the input's maximal color runs:
 and places each label as it is issued, so once the scan is done the input
 list is no longer needed; the command line drops its instance there.
 Read in input colors, a coloring of the transformed list conflicts only
-where two labels of one run meet, and ``pull_back_coloring``, replaying
-the report it is given in one checked walk, repairs those places in one
-right-to-left sweep.
+where two labels of one run meet, and ``pull_back_coloring`` repairs
+those places in one right-to-left sweep.  It plans the input again rather
+than rebuild the list from the report it is given: a report that is not
+that plan is refused, so there is one construction of the transformed list.
 
 Fresh colors are chosen as the smallest integer larger than every color
 seen so far, so outputs are deterministic and fresh labels never collide
@@ -47,7 +48,6 @@ from .model import (
     InvalidInputError,
     ListAssignment,
     _check_good,
-    _check_interval,
     _proper,
     _Record,
     _set,
@@ -58,7 +58,7 @@ Rename = tuple[int, int, int, int]  # (old, new, start, end): old becomes new on
 
 
 class TransformReport(_Record):
-    """Record of one transform, sufficient to replay it and reverse it on colorings.
+    """Record of one transform, enough to read a coloring back in input colors.
 
     ``run_renames`` are the fresh-color substitutions of stage 1 (reversible
     by plain renaming), ``relabel_map`` the stage 2 permutation as its
@@ -201,52 +201,6 @@ def _stages(
     return out, TransformReport(tuple(run_renames), tuple(relabel), tuple(replacements))
 
 
-def _replay(L: ListAssignment, report: TransformReport) -> tuple[list[set[int]], dict[int, int]]:
-    """The transformed list of ``L`` under a caller's report, and each issued label's input color.
-
-    The list has one mutable set per vertex; every issued label stands for
-    one run of its input color.  A report that is not a ``TransformReport``
-    of ``(old, new, start, end)`` events and ``(old, new)`` pairs, or that
-    has an event off the path, raises ``InvalidInputError``.  Linear: a
-    replacement relabels only the first two vertices of its span; the rest
-    of the run keeps its stage 2 label until its chain reaches it.
-    """
-    shape = "a report must be a TransformReport of (old, new, start, end) and (old, new) tuples"
-    if not isinstance(report, TransformReport):
-        raise InvalidInputError(f"{shape}: got {type(report).__name__}")
-    try:  # each relabel entry unpacks into two fields, each event into four
-        relabel = {old: new for old, new in report.relabel_map}
-        ends = [(start, end) for _, _, start, end in (*report.run_renames, *report.replacements)]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{shape}: {exc}") from None
-    for start, end in ends:
-        _check_interval(start, end, len(L))
-
-    work = [set(colors) for colors in L]
-    try:  # an unhashable label fails where it is first hashed
-        source: dict[int, int] = {}
-        for old, new, start, end in report.run_renames:
-            source[new] = old
-            for colors in work[start : end + 1]:
-                if old in colors:
-                    colors.remove(old)
-                    colors.add(new)
-        if relabel:
-            work = [{relabel.get(x, x) for x in colors} for colors in work]
-            source |= {new: source.get(old, old) for old, new in relabel.items()}
-        root: dict[int, int] = {}  # stage 3 label -> the stage 2 label of its run
-        for old, new, start, end in report.replacements:
-            old = root[new] = root.get(old, old)
-            source[new] = source.get(old, old)
-            for colors in work[start : min(start + 1, end) + 1]:
-                if old in colors:
-                    colors.remove(old)
-                    colors.add(new)
-    except TypeError as exc:
-        raise InvalidInputError(f"{shape}: {exc}") from None
-    return work, source
-
-
 def pull_back_coloring(
     report: TransformReport,
     c_waterfall: Iterable[Iterable[int]],
@@ -265,19 +219,28 @@ def pull_back_coloring(
     and c(v+1) share x, so they hold at most w(v) + w(v+1) - 1 colors.
 
     So a list that is not good raises ``NotGoodError``.  ``report`` must be
-    the one ``to_waterfall`` returned for these lists and weights: its shape
-    and its events' vertex ranges are checked as it is read, and where the
-    pull-back fails, a report that is not the transform of these lists
-    raises ``InvalidInputError``.
+    the one ``to_waterfall`` returned for these lists and weights: the lists
+    are planned again, and any other report raises ``InvalidInputError``.
+    The plan's list checks the coloring, and the plan's report names each
+    label's input color.
     """
     original = Instance.path(weights, original_lists)
     L = original.lists
     _check_good(L, original.weights)
-    work, source = _replay(L, report)
+    work, planned = _plan(L)
+    if planned != report:
+        raise InvalidInputError("report is not the transform of these lists")
     c = _proper(work, original.weights, c_waterfall, original.edges())
     if c is None:
         raise InvalidInputError("coloring is not valid for the transformed list")
+    del work
 
+    # each label stands for one run of its input color; stage 2 permutes
+    # labels, so its pairs all read the map as stage 1 left it
+    source = {new: old for old, new, _, _ in planned.run_renames}
+    source |= {new: source.get(old, old) for old, new in planned.relabel_map}
+    for old, new, _, _ in planned.replacements:
+        source[new] = source.get(old, old)
     c = [{source.get(x, x) for x in entry} for entry in c]
     for v in range(len(c) - 2, 0, -1):
         for x in sorted(c[v] & c[v + 1]):
@@ -285,25 +248,12 @@ def pull_back_coloring(
             if z is None:
                 swap = (c[v - 1] & L[v]) - c[v] - c[v + 1]
                 if not swap:
-                    raise _failure(L, report, f"no swap color for {x} at vertex {v}")
+                    raise InternalInvariantError(f"no swap color for {x} at vertex {v}")
                 z = min(swap)
                 c[v - 1] ^= {x, z}
             c[v] ^= {x, z}
 
     result = tuple(frozenset(entry) for entry in c)
     if not validate_coloring(original, result):
-        raise _failure(L, report, "pulled-back coloring is invalid for the original list")
+        raise InternalInvariantError("pulled-back coloring is invalid for the original list")
     return result
-
-
-def _failure(L: ListAssignment, report: TransformReport, message: str) -> Exception:
-    """Bad input if ``report`` is not the plan of ``L``, else a broken invariant.
-
-    With the plan of ``L`` the pull-back cannot fail: the good bound makes
-    every swap color exist, and the sweep then leaves no two labels of one
-    run meeting.  Only a failed pull-back re-plans, so a valid report costs
-    nothing extra.
-    """
-    if _plan(L)[1] != report:
-        return InvalidInputError("report is not the transform of these lists")
-    return InternalInvariantError(message)

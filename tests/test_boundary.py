@@ -13,6 +13,7 @@ input like a bad color.
 import json
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,7 @@ from choosable import (
     decide_waterfall,
     decide_waterfall_prefix,
     endpoint_threshold,
+    even_ceil,
     fchr,
     hall_check_path,
     hall_summands,
@@ -152,6 +154,32 @@ SCALARS = {
         lambda: endpoint_threshold(ChoiceParameters(5, 2), 3.5),
         "n must be a non-negative integer, got 3.5",
     ),
+    # each rejected before it reaches ceil, which raises its own errors or
+    # rounds a float
+    "even_ceil(inf)": (
+        lambda: even_ceil(float("inf")),
+        "even_ceil needs a non-negative int or Fraction, got inf",
+    ),
+    "even_ceil(nan)": (
+        lambda: even_ceil(float("nan")),
+        "even_ceil needs a non-negative int or Fraction, got nan",
+    ),
+    "even_ceil(2.5)": (
+        lambda: even_ceil(2.5),
+        "even_ceil needs a non-negative int or Fraction, got 2.5",
+    ),
+    "even_ceil(True)": (
+        lambda: even_ceil(True),
+        "even_ceil needs a non-negative int or Fraction, got True",
+    ),
+    "even_ceil(-1/2)": (
+        lambda: even_ceil(Fraction(-1, 2)),
+        "even_ceil needs a non-negative int or Fraction, got Fraction(-1, 2)",
+    ),
+    "endpoint_threshold((5, 2), 3)": (
+        lambda: endpoint_threshold((5, 2), 3),
+        "params must be ChoiceParameters, got tuple",
+    ),
     "fchr(4.5)": (
         lambda: fchr(4.5),
         "cycle length n must be an integer >= 3, got 4.5",
@@ -201,7 +229,7 @@ SCALARS = {
             THREE,
             (1, 1, 1),
         ),
-        "interval (0.5, 1) out of range for 3 vertices, got 0.5",
+        "report is not the transform of these lists",
     ),
 }
 
@@ -213,7 +241,6 @@ def test_scalar_parameters_are_checked(call):
         run()
 
 
-REPORT_SHAPE = "a report must be a TransformReport of (old, new, start, end) and (old, new) tuples"
 SHAPES = {
     "Instance.path([1], [5])": (
         lambda: Instance.path([1], [5]),
@@ -234,41 +261,6 @@ SHAPES = {
     "validate_coloring(inst, [[[1]]])": (
         lambda: validate_coloring(Instance.path([1], [[1]]), [[[1]]]),
         "a coloring must be collections of colors",
-    ),
-    'pull_back_coloring("x")': (
-        lambda: pull_back_coloring("x", L({1}, {2}, {3}), THREE, (1, 1, 1)),
-        REPORT_SHAPE,
-    ),
-    "pull_back_coloring(replacements=(5,))": (
-        lambda: pull_back_coloring(
-            TransformReport(replacements=(5,)), L({1}, {2}, {3}), THREE, (1, 1, 1)
-        ),
-        REPORT_SHAPE,
-    ),
-    "pull_back_coloring(relabel_map=((1,),))": (
-        lambda: pull_back_coloring(
-            TransformReport(relabel_map=((1,),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
-        ),
-        REPORT_SHAPE,
-    ),
-    # a label that cannot be hashed, in each place a label is first hashed
-    "pull_back_coloring(run_renames=(([1], 9, 0, 0),))": (
-        lambda: pull_back_coloring(
-            TransformReport(run_renames=(([1], 9, 0, 0),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
-        ),
-        REPORT_SHAPE,
-    ),
-    "pull_back_coloring(replacements=((1, [9], 2, 2),))": (
-        lambda: pull_back_coloring(
-            TransformReport(replacements=((1, [9], 2, 2),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
-        ),
-        REPORT_SHAPE,
-    ),
-    "pull_back_coloring(relabel_map=((1, [9]),))": (
-        lambda: pull_back_coloring(
-            TransformReport(relabel_map=((1, [9]),)), L({1}, {2}, {3}), THREE, (1, 1, 1)
-        ),
-        REPORT_SHAPE,
     ),
 }
 

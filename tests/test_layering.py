@@ -13,9 +13,10 @@ integer test that excludes bools lives in ``model._int_at_least`` (and in
 bound ``|L(i)| >= w(i) + w(i+1)`` in ``model._check_good``, and the interval
 hypothesis ``0 <= i <= j < m`` in ``model._check_interval``.  A broken
 invariant is raised only where a theorem of the paper, not the code just
-run, is what rules it out.  ``to_waterfall`` builds its list in the pass
-that plans it; only the pull-back, which takes any caller's report,
-replays one event by event, and an event is a plain tuple, not a record.
+run, is what rules it out.  The transformed list has one construction:
+``_stages`` places each label as it plans it, and the pull-back plans its
+lists again rather than replay the report it is given; an event is a
+plain tuple, not a record.
 ``choosable waterfall`` writes the labels the stages place and the fresh
 labels in the order they were issued, never the tuple of frozensets that
 ``to_waterfall`` returns or a sorted copy of ``fresh_colors``.
@@ -170,21 +171,29 @@ def test_interval_hypothesis_has_one_owner():
 
 def test_broken_invariants_are_theorem_guards():
     # the sufficiency of Hall's condition on paths, and the good bound that
-    # makes the pull-back's swap color exist; what the code has just built
-    # is not checked again
+    # makes the pull-back's swap color exist and its sweep complete; what
+    # the code has just built is not checked again
     assert functions_where(raises_broken_invariant) == [
         ("hall", "_decide"),
-        ("waterfall", "_failure"),
+        ("waterfall", "pull_back_coloring"),
+        ("waterfall", "pull_back_coloring"),
     ]
 
 
 def test_to_waterfall_does_not_replay():
-    # the plan builds the transformed list; only a caller's report, which
-    # may be any report, is replayed event by event
-    def calls_replay(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_replay"
+    # only the stages place labels, so no report is replayed into a second
+    # list: the pull-back plans its lists as the transform does
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", "") == name
 
-    assert functions_where(calls_replay) == [("waterfall", "pull_back_coloring")]
+    assert sorted(functions_where(calls("_stages"))) == [
+        ("cli", "cmd_waterfall"),
+        ("waterfall", "_plan"),
+    ]
+    assert sorted(functions_where(calls("_plan"))) == [
+        ("waterfall", "pull_back_coloring"),
+        ("waterfall", "to_waterfall"),
+    ]
 
 
 def test_waterfall_events_are_no_records():

@@ -350,8 +350,8 @@ class TestPullBack:
             pull_back_coloring(report, [{0}, {2}, {3, 4}], [[0, 1, 2], [2], [2, 3]], (1, 1, 2))
 
     def test_forged_report_is_bad_input(self):
-        # events in range, but not the transform of these lists: the
-        # pulled-back coloring fails, and the re-plan blames the report
+        # events in range, but not the transform of these lists: the plan
+        # refuses the report before the coloring is read
         report = TransformReport(
             run_renames=((2, 5, 0, 1),),
             relabel_map=((0, 1),),
@@ -362,20 +362,37 @@ class TestPullBack:
             pull_back_coloring(report, [{4}, {1}], [{0, 3, 4}, {1, 2, 3}], (1, 1))
 
     @pytest.mark.parametrize(
-        "event, message",
+        "report, coloring, lists",
         [
-            ((1, 9, 2, 10**9), "interval (2, 1000000000) out of range for 3 vertices"),
-            ((1, 9, -1, 0), "interval (-1, 0) out of range for 3 vertices, got -1"),
-            ((1, 9, 2, 1), "interval (2, 1) out of range for 3 vertices"),
-            ((1, 9, 0.5, 1), "interval (0.5, 1) out of range for 3 vertices, got 0.5"),
-        ],
-        ids=["past-the-end", "negative-start", "empty", "float-start"],
+            pytest.param(report, [{1}, {2}, {3}], [{1}, {1, 2}, {1, 3}], id=name)
+            for name, report in [
+                ("not-a-record", "x"),
+                ("event-not-a-tuple", TransformReport(replacements=(5,))),
+                ("relabel-pair-short", TransformReport(relabel_map=((1,),))),
+                # a label that cannot be hashed, in each stage of the report
+                ("unhashable-rename", TransformReport(run_renames=(([1], 9, 0, 0),))),
+                ("unhashable-replacement", TransformReport(replacements=((1, [9], 2, 2),))),
+                ("unhashable-relabel", TransformReport(relabel_map=((1, [9]),))),
+            ]
+            + [
+                (f"{stage}-{name}", TransformReport(**{stage: (event,)}))
+                for stage in ("run_renames", "replacements")
+                for name, event in [
+                    ("past-the-end", (1, 9, 2, 10**9)),
+                    ("negative-start", (1, 9, -1, 0)),
+                    ("empty", (1, 9, 2, 1)),
+                    ("float-start", (1, 9, 0.5, 1)),
+                ]
+            ]
+        ]
+        # the empty report would leave a proper coloring as it is, but the
+        # plan of these lists has two replacements
+        + [pytest.param(TransformReport(), [{1}, {2}, {1}], [{1, 2}] * 3, id="not-the-plan")],
     )
-    @pytest.mark.parametrize("stage", ["run_renames", "replacements"])
-    def test_rejects_report_event_off_the_path(self, stage, event, message):
-        report = TransformReport(**{stage: (event,)})
+    def test_report_must_be_the_plan(self, report, coloring, lists):
+        message = "report is not the transform of these lists"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            pull_back_coloring(report, [{1}, {2}, {3}], [{1}, {1, 2}, {1, 3}], (1, 1, 1))
+            pull_back_coloring(report, coloring, lists, (1, 1, 1))
 
     def test_every_waterfall_coloring_pulls_back(self):
         # enumerate every coloring of the transformed list, not only the
