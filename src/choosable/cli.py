@@ -10,6 +10,10 @@ Instance documents look like::
 A pinned-cycle certificate from ``decide`` indexes the path cut at the pinned
 vertex v0: path vertex p is cycle vertex (v0 + p) mod n, and n is v0 again.
 
+The command line checks a document's shape alone: JSON, required fields,
+and objects and arrays where they belong (a ``ParseError``).  Colors,
+weights and the pinned vertex go to the model as decoded, to be checked once.
+
 Exit codes: 0 colorable (or valid, or true), 1 not colorable (invalid,
 false), 2 input error, 3 internal error: a violated invariant or any other
 bug.  Identical inputs produce byte-identical output.
@@ -29,7 +33,6 @@ from typing import Any, Iterable
 from .model import (
     BudgetExceededError,
     Certificate,
-    Coloring,
     Decision,
     FreeChoiceInstance,
     Instance,
@@ -38,6 +41,8 @@ from .model import (
     SearchBudget,
     Topology,
     _check_good,
+    _int_at_least,
+    as_lists,
     validate_coloring,
 )
 
@@ -66,27 +71,27 @@ def _require(doc: dict, field: str, where: str = "document") -> Any:
 
 
 def _int_value(value: Any, field: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f'field "{field}" must be an integer')
-    return value
+    return _int_at_least(value, 0, f'field "{field}" must be a non-negative integer', ParseError)
 
 
-def _int_array(values: Any, field: str) -> list[int]:
+def _array(values: Any, field: str) -> list:
     if not isinstance(values, list):
         raise ParseError(f'field "{field}" must be an array')
-    for k, v in enumerate(values):
-        if type(v) is not int:  # names the field only for a value that may fail
-            _int_value(v, f"{field}[{k}]")
     return values
 
 
-def _coloring_array(entries: list) -> Coloring:
-    return tuple(frozenset(_int_array(entry, f"coloring[{i}]")) for i, entry in enumerate(entries))
+def _arrays(values: Any, field: str) -> list[list]:
+    """``values`` if an array of arrays: the model would read ``{}`` or ``""`` as a list."""
+    for i, entry in enumerate(_array(values, field)):
+        _array(entry, f"{field}[{i}]")
+    return values
 
 
 def parse_instance(text: str | bytes) -> Instance | FreeChoiceInstance:
     """Parse an instance document; cycle documents with "forced" pin a vertex.
 
+    The document's shape is checked here; its colors, weights and pinned
+    vertex go to ``Instance`` and ``FreeChoiceInstance`` as decoded.
     Duplicate colors inside one list are dropped with a warning.
     """
     doc = _load_json(text)
@@ -96,30 +101,22 @@ def parse_instance(text: str | bytes) -> Instance | FreeChoiceInstance:
     graph = _require(doc, "graph")
     if graph not in ("path", "cycle"):
         raise ParseError(f'field "graph" must be "path" or "cycle", got {graph!r}')
-    weights = _int_array(_require(doc, "weights"), "weights")
-    raw_lists = _require(doc, "lists")
-    if not isinstance(raw_lists, list):
-        raise ParseError('field "lists" must be an array')
-    lists = []
-    for i, entry in enumerate(raw_lists):
-        colors = _int_array(entry, f"lists[{i}]")
-        if len(set(colors)) != len(colors):
-            warnings.warn(f"duplicate colors removed from list {i}", stacklevel=2)
-        lists.append(colors)
-
+    weights = _array(_require(doc, "weights"), "weights")
+    lists = _arrays(_require(doc, "lists"), "lists")
     topology = Topology.PATH if graph == "path" else Topology.CYCLE
-    inst = Instance(topology, tuple(weights), tuple(lists))
+    inst = Instance(topology, weights, lists)
+    for i, (colors, entry) in enumerate(zip(inst.lists, lists)):
+        if len(colors) != len(entry):
+            warnings.warn(f"duplicate colors removed from list {i}", stacklevel=2)
 
     if "forced" not in doc:
         return inst
-    if graph != "cycle":
-        raise InvalidInputError('"forced" is only valid with graph = "cycle"')
     forced_doc = doc["forced"]
     if not isinstance(forced_doc, dict):
         raise ParseError('field "forced" must be an object')
-    vertex = _int_value(_require(forced_doc, "vertex", '"forced"'), "forced.vertex")
-    colors = _int_array(_require(forced_doc, "colors", '"forced"'), "forced.colors")
-    return FreeChoiceInstance(inst, vertex, frozenset(colors))
+    vertex = _require(forced_doc, "vertex", '"forced"')
+    colors = _array(_require(forced_doc, "colors", '"forced"'), "forced.colors")
+    return FreeChoiceInstance(inst, vertex, colors)
 
 
 def emit_instance(obj: Instance | FreeChoiceInstance) -> str:
@@ -170,20 +167,16 @@ def parse_decision(text: str | bytes) -> Decision:
     if not isinstance(colorable, bool):
         raise ParseError('field "colorable" must be a boolean')
     if colorable:
-        coloring = _require(doc, "coloring")
-        if not isinstance(coloring, list):
-            raise ParseError('field "coloring" must be an array')
-        return Decision(True, coloring=_coloring_array(coloring))
+        coloring = _arrays(_require(doc, "coloring"), "coloring")
+        return Decision(True, coloring=as_lists(coloring))
     cert = _require(doc, "certificate")
     if not isinstance(cert, dict):
         raise ParseError('field "certificate" must be an object')
+    fields = ("i", "j", "amplitude", "demand")
     return Decision(
         False,
         certificate=Certificate(
-            _int_value(_require(cert, "i", '"certificate"'), "certificate.i"),
-            _int_value(_require(cert, "j", '"certificate"'), "certificate.j"),
-            _int_value(_require(cert, "amplitude", '"certificate"'), "certificate.amplitude"),
-            _int_value(_require(cert, "demand", '"certificate"'), "certificate.demand"),
+            *(_int_value(_require(cert, k, '"certificate"'), f"certificate.{k}") for k in fields)
         ),
     )
 
@@ -198,8 +191,8 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
-def _parse_coloring_document(text: str) -> Coloring:
-    """Accept a bare array of arrays, {"coloring": ...} or a decision document."""
+def _parse_coloring_document(text: str) -> list[list]:
+    """The arrays of a bare array, {"coloring": ...} or a decision document, as decoded."""
     doc = _load_json(text)
     if isinstance(doc, dict):
         if "coloring" not in doc:
@@ -207,7 +200,7 @@ def _parse_coloring_document(text: str) -> Coloring:
         doc = doc["coloring"]
     if not isinstance(doc, list):
         raise ParseError("coloring must be an array of color arrays")
-    return _coloring_array(doc)
+    return _arrays(doc, "coloring")
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
@@ -305,7 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(obj, FreeChoiceInstance):
         ok = (
             validate_coloring(obj.cycle, coloring)
-            and coloring[obj.v0] == obj.forced
+            and frozenset(coloring[obj.v0]) == obj.forced
         )
     else:
         ok = validate_coloring(obj, coloring)

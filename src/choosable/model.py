@@ -324,14 +324,11 @@ def is_good(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> bool:
     """Whether every interior vertex satisfies ``|L(i)| >= w(i) + w(i+1)``.
 
     Endpoints carry no constraint; single-vertex and two-vertex paths are
-    vacuously good.
+    vacuously good.  The input is checked as ``Instance.path`` checks it.
     """
-    L = as_lists(lists)
-    w = as_weights(weights)
-    if len(L) != len(w):
-        raise InvalidInputError(f"{len(w)} weights for {len(L)} lists")
+    inst = Instance.path(weights, lists)
     try:
-        _check_good(L, w)
+        _check_good(inst.lists, inst.weights)
     except NotGoodError:
         return False
     return True

@@ -3,8 +3,9 @@
 Every public operation on a path coerces its lists through ``Instance`` (or
 ``as_lists``) exactly once, whatever type the lists arrive in, and hands
 the checked tuples inward; nothing below an entry point coerces again.
-The command line decides or scans the instance it parsed, so a command
-coerces its lists once too.  Scalar parameters, interval ends and the
+The command line checks only a document's shape and decides, scans,
+searches or verifies the instance it parsed, so a command coerces its
+lists once too.  Scalar parameters, interval ends and the
 good-list bound each have one check that every entry shares, so they fail
 alike wherever they enter, and a container of the wrong shape is invalid
 input like a bad color.
@@ -351,13 +352,20 @@ def test_one_call_coerces_its_lists_once(entry, as_lists_calls):
 
 
 GOOD_DOC = json.dumps({"graph": "path", "weights": ONES, "lists": [sorted(x) for x in GOOD]})
+GOOD_COLORING = json.dumps([sorted(x) for x in hall_check_path(GOOD, ONES).coloring])
 
 
-@pytest.mark.parametrize("command", ["decide", "waterfall"])
+@pytest.mark.parametrize("command", ["decide", "waterfall", "oracle", "verify"])
 def test_one_command_coerces_its_lists_once(command, tmp_path, capsys, as_lists_calls):
-    # the parsed instance is what the command decides or scans, not coerced again
+    # the parsed instance is what the command decides, scans or searches,
+    # not coerced again, and verify checks the coloring's colors in place
     path = tmp_path / "good.json"
     path.write_text(GOOD_DOC, encoding="utf-8")
-    assert main([command, str(path)]) == 0
+    argv = [command, str(path)]
+    if command == "verify":
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(GOOD_COLORING, encoding="utf-8")
+        argv.append(str(coloring))
+    assert main(argv) == 0
     capsys.readouterr()
     assert len(as_lists_calls) == 1

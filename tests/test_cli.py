@@ -11,10 +11,13 @@ import pytest
 from choosable import (
     Certificate,
     Decision,
+    FreeChoiceInstance,
     Instance,
+    InvalidInputError,
     TransformReport,
     counterexample_list,
     to_waterfall,
+    validate_coloring,
 )
 from choosable.cli import (
     _CHUNK,
@@ -35,7 +38,6 @@ COUNTEREXAMPLE_DOC = (
     '"lists":[[1,2,3,4],[1,2,3,4],[3,4,5,6],[1,2,5,6]],'
     '"forced":{"vertex":0,"colors":[1,2]}}'
 )
-
 
 class TestParseInstance:
     def test_path_document(self):
@@ -63,12 +65,17 @@ class TestParseInstance:
             parse_instance('{"graph":"path","lists":[[1]]}')
 
     def test_non_integer_color_named(self):
-        with pytest.raises(ParseError, match=r"lists\[0\]\[1\]"):
+        # the model words a color it refuses, for the parser as for any caller
+        with pytest.raises(InvalidInputError) as model:
+            Instance.path([1], [[1, "x"]])
+        with pytest.raises(InvalidInputError) as parsed:
             parse_instance('{"graph":"path","weights":[1],"lists":[[1,"x"]]}')
+        assert not isinstance(parsed.value, ParseError)
+        assert str(parsed.value) == str(model.value)
 
     def test_forced_requires_cycle(self):
         doc = '{"graph":"path","weights":[1],"lists":[[1]],"forced":{"vertex":0,"colors":[1]}}'
-        with pytest.raises(ValueError, match="cycle"):
+        with pytest.raises(InvalidInputError, match="^free choice instances are rooted in cycles$"):
             parse_instance(doc)
 
     def test_unknown_graph_kind(self):
@@ -446,14 +453,47 @@ class TestMain:
             assert main(["counterexample", "--a", str(a), "--b", str(b), "--n", str(n)]) == 2
             assert capsys.readouterr().err.startswith("invalid input: ")
 
+    def _run(self, tmp_path, instance, coloring):
+        """``decide`` on ``instance``, or ``verify`` with ``coloring`` when given."""
+        argv = ["decide", self._doc(tmp_path, instance)]
+        if coloring is not None:
+            argv = ["verify", argv[1], self._doc(tmp_path, coloring, "c.json")]
+        return main(argv)
+
+    @staticmethod
+    def _refusal(instance, coloring):
+        """What the library raises for the documents' values, as decoded."""
+        doc = json.loads(instance)
+        build = Instance.path if doc["graph"] == "path" else Instance.cycle
+        with pytest.raises(InvalidInputError) as refused:
+            inst = build(doc["weights"], doc["lists"])
+            if "forced" in doc:
+                FreeChoiceInstance(inst, doc["forced"]["vertex"], doc["forced"]["colors"])
+            if coloring is not None:
+                validate_coloring(inst, json.loads(coloring)["coloring"])
+        return refused.value
+
     @pytest.mark.parametrize(
-        "instance, coloring, field",
+        "instance, coloring, where",
         [
             ('{"graph":"path","weights":[1,1],"lists":[[1],[2,3,1.0]]}', None, "lists[1][2]"),
             ('{"graph":"path","weights":[1,true],"lists":[[1],[2]]}', None, "weights[1]"),
             (
                 '{"graph":"cycle","weights":[2,1,1],"lists":[[1,2],[3],[4]],'
+                '"forced":{"vertex":0.0,"colors":[1,2]}}',
+                None,
+                "forced.vertex",
+            ),
+            (
+                '{"graph":"cycle","weights":[2,1,1],"lists":[[1,2],[3],[4]],'
                 '"forced":{"vertex":0,"colors":[1,"2"]}}',
+                None,
+                "forced.colors[1]",
+            ),
+            (
+                # its set is {1}: the pin's colors are checked as given
+                '{"graph":"cycle","weights":[2,1,1],"lists":[[1,2],[3],[4]],'
+                '"forced":{"vertex":0,"colors":[1,1.0]}}',
                 None,
                 "forced.colors[1]",
             ),
@@ -461,17 +501,46 @@ class TestMain:
         ],
     )
     def test_non_integer_deep_in_a_document_exit_two(
-        self, tmp_path, capsys, instance, coloring, field
+        self, tmp_path, capsys, instance, coloring, where
     ):
-        argv = ["verify", self._doc(tmp_path, instance)]
-        if coloring is None:
-            argv = ["decide", argv[1]]
-        else:
-            argv.append(self._doc(tmp_path, coloring, "c.json"))
-        assert main(argv) == 2
+        # the value at ``where`` reaches the library as decoded and is
+        # refused in the library's words
+        refusal = self._refusal(instance, coloring)
+        assert self._run(tmp_path, instance, coloring) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f'parse error: field "{field}" must be an integer\n'
+        assert err == f"invalid input: {refusal}\n"
+
+    @pytest.mark.parametrize("value", ["{}", '""', '"12"', "5", "null"])
+    @pytest.mark.parametrize(
+        "instance, coloring, field",
+        [
+            ('{"graph":"path","weights":%s,"lists":[[1],[2]]}', None, "weights"),
+            ('{"graph":"path","weights":[1,1],"lists":%s}', None, "lists"),
+            ('{"graph":"path","weights":[1,1],"lists":[[1],%s]}', None, "lists[1]"),
+            (
+                '{"graph":"cycle","weights":[2,1,1],"lists":[[1,2],[3],[4]],'
+                '"forced":{"vertex":0,"colors":%s}}',
+                None,
+                "forced.colors",
+            ),
+            (PATH_DOC, '{"coloring":[[1],%s]}', "coloring[1]"),
+        ],
+        ids=["weights", "lists", "list", "forced-colors", "coloring"],
+    )
+    def test_shape_error_stays_a_parse_error(
+        self, tmp_path, capsys, instance, coloring, field, value
+    ):
+        # the model would read {} and "" as empty lists, so an array is
+        # checked for wherever one belongs
+        if coloring is None:
+            instance %= value
+        else:
+            coloring %= value
+        assert self._run(tmp_path, instance, coloring) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f'parse error: field "{field}" must be an array\n'
 
     @pytest.mark.parametrize(
         "payload",

@@ -8,8 +8,9 @@ the model, so its pull-back cannot borrow a decider it is checked against
 (re-running the greedy would pass every validity check); and the reference
 interval scan in ``tests/helpers.py`` must not borrow from the Hall
 deciders it checks.  Each input hypothesis is written out in one place: the
-integer test that excludes bools lives in ``model._int_at_least`` (and in
-``cli._int_value``, whose parse-error wording is its own), the good-list
+integer test that excludes bools lives in ``model._int_at_least`` (the
+command line calls it for a decision document's certificate fields, with
+a parse-error wording of its own), the good-list
 bound ``|L(i)| >= w(i) + w(i+1)`` in ``model._check_good``, and the interval
 hypothesis ``0 <= i <= j < m`` in ``model._check_interval``.  A broken
 invariant is raised only where a theorem of the paper, not the code just
@@ -155,10 +156,7 @@ def raises_broken_invariant(node):
 
 
 def test_integer_test_has_one_owner():
-    assert sorted(functions_where(excludes_bool)) == [
-        ("cli", "_int_value"),
-        ("model", "_int_at_least"),
-    ]
+    assert functions_where(excludes_bool) == [("model", "_int_at_least")]
 
 
 def test_good_bound_has_one_owner():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,14 @@ class TestIsGood:
     def test_short_paths_vacuously_good(self):
         assert is_good(L(set()), (3,))
         assert is_good(L(set(), set()), (3, 3))
+
+    def test_checked_as_a_path(self):
+        # the same refusals, in the same words, as Instance.path
+        for weights, lists in (((), ()), ((1, 1), L({1})), ((1.0,), L({1}))):
+            with pytest.raises(InvalidInputError) as model:
+                Instance.path(weights, lists)
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(str(model.value))}$"):
+                is_good(lists, weights)
 
 
 class TestIsWaterfall:
