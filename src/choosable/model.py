@@ -14,7 +14,8 @@ Vocabulary used across the package:
 Path vertices are indexed left to right with edges between consecutive
 indices; a cycle adds the wrap edge between the last vertex and vertex 0.
 Colors are opaque non-negative integers.  Every value here is immutable and
-every operation is a pure function, so unrestricted concurrent use is safe.
+every result depends on the arguments alone (``waterfall`` keeps its last
+plan, an immutable value, in a thread-safe memo), so concurrent use is safe.
 """
 
 from __future__ import annotations

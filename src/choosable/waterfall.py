@@ -26,6 +26,8 @@ where two labels of one run meet, and ``pull_back_coloring`` repairs
 those places in one right-to-left sweep.  It plans the input again rather
 than rebuild the list from the report it is given: a report that is not
 that plan is refused, so there is one construction of the transformed list.
+``_plan`` keeps its last plan, so a round trip plans its lists once, and
+equal lists planned in a row get back the same immutable objects.
 
 Fresh colors are chosen as the smallest integer larger than every color
 seen so far, so outputs are deterministic and fresh labels never collide
@@ -38,6 +40,7 @@ command line writes them so, with no sort.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -107,18 +110,23 @@ def to_waterfall(
     The result is in waterfall form by construction, so it is returned
     unchecked: stage 1 leaves each color on one run of vertices, and stage
     3 cuts every run of three or more vertices into labels that each cover
-    at most two consecutive vertices.
+    at most two consecutive vertices.  Called twice in a row with equal
+    lists, it returns the same tuple and report, which are immutable.
     """
     inst = Instance.path(weights, lists)
     _check_good(inst.lists, inst.weights)
     return _plan(inst.lists)
 
 
+@lru_cache(maxsize=1)
 def _plan(L: ListAssignment) -> tuple[ListAssignment, TransformReport]:
     """The transformed list and its report: the stages run on the maximal runs of ``L``.
 
     A list already in waterfall form comes back equal, as new frozensets,
-    with the empty report.
+    with the empty report.  The last plan is kept: ``L``'s hash and
+    equality depend only on its colors and the plan is immutable, so
+    planning equal lists again, as the pull-back of a round trip does,
+    returns the same objects.
     """
     out, report = _stages(_runs(L), len(L))
     for v, colors in enumerate(out):
@@ -221,8 +229,9 @@ def pull_back_coloring(
     So a list that is not good raises ``NotGoodError``.  ``report`` must be
     the one ``to_waterfall`` returned for these lists and weights: the lists
     are planned again, and any other report raises ``InvalidInputError``.
-    The plan's list checks the coloring, and the plan's report names each
-    label's input color.
+    Right after ``to_waterfall`` on equal lists, that plan is the one it
+    kept rather than a new one.  The plan's list checks the coloring, and
+    the plan's report names each label's input color.
     """
     original = Instance.path(weights, original_lists)
     L = original.lists
@@ -233,7 +242,6 @@ def pull_back_coloring(
     c = _proper(work, original.weights, c_waterfall, original.edges())
     if c is None:
         raise InvalidInputError("coloring is not valid for the transformed list")
-    del work
 
     # each label stands for one run of its input color; stage 2 permutes
     # labels, so its pairs all read the map as stage 1 left it

@@ -17,7 +17,8 @@ invariant is raised only where a theorem of the paper, not the code just
 run, is what rules it out.  The transformed list has one construction:
 ``_stages`` places each label as it plans it, and the pull-back plans its
 lists again rather than replay the report it is given; an event is a
-plain tuple, not a record.
+plain tuple, not a record.  ``waterfall._plan`` keeps its last plan, so a
+round trip plans once, and it is the package's one memo.
 ``choosable waterfall`` writes the labels the stages place and the fresh
 labels in the order they were issued, never the tuple of frozensets that
 ``to_waterfall`` returns or a sorted copy of ``fresh_colors``.
@@ -192,6 +193,28 @@ def test_to_waterfall_does_not_replay():
         ("waterfall", "pull_back_coloring"),
         ("waterfall", "to_waterfall"),
     ]
+
+
+MEMOS = {"cache", "cached_property", "lru_cache"}
+
+
+def test_one_memo_keeps_the_last_plan():
+    # a round trip plans its lists once through a memo of one entry; a
+    # second memo, or a size to tune, would keep inputs no caller holds
+    decorators, names = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                decorators += [(path.stem, node.name, ast.unparse(d)) for d in node.decorator_list]
+            if isinstance(node, ast.alias):
+                name = node.name
+            else:
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in MEMOS:
+                names.append((path.stem, ast.unparse(node)))
+    assert ("waterfall", "_plan", "lru_cache(maxsize=1)") in decorators
+    # the import and the decorator, under their own names, and nothing else
+    assert names == [("waterfall", "lru_cache"), ("waterfall", "lru_cache")]
 
 
 def test_waterfall_events_are_no_records():

@@ -1,6 +1,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -21,6 +23,7 @@ from choosable import (
 )
 from helpers import (
     L,
+    all_lists,
     planted_good_path,
     reference_to_waterfall,
     subsets_up_to,
@@ -198,6 +201,7 @@ class TestToWaterfall:
 
         w, lists = planted_good_path(21, 900)
         L = Instance.path(w, lists).lists
+        _plan.cache_clear()  # a kept plan would be returned, not planned
         tracemalloc.start()
         try:
             result = _plan(L)
@@ -206,20 +210,6 @@ class TestToWaterfall:
             tracemalloc.stop()
         assert result == reference_to_waterfall(L, w)
         assert peak <= 1.1 * live
-
-
-def _exhaustive_good_family():
-    """All good lists on up to 4 vertices over 4 colors with sizes <= 3, w <= 2."""
-    subsets = [
-        frozenset(c)
-        for k in range(4)
-        for c in itertools.combinations(range(1, 5), k)
-    ]
-    for m in range(1, 5):
-        for lists in itertools.product(subsets, repeat=m):
-            for w in weight_vectors(m, 2):
-                if is_good(lists, w):
-                    yield lists, w
 
 
 class TestAgainstReference:
@@ -434,11 +424,15 @@ class TestPullBack:
         assert validate_coloring(Instance.path(w, lists), back)
 
     def test_long_round_trip_memory(self):
-        # the pull-back keeps one working list, not a copy per replacement
+        # the pull-back keeps one working list, not a copy per replacement;
+        # it plans its lists anew here, since the transform's plan is cleared
+        from choosable.waterfall import _plan
+
         w, lists = planted_good_path(3, 3000)
         out, report = to_waterfall(lists, w)
         decision = decide_waterfall(out, w)
         assert decision.colorable
+        _plan.cache_clear()
         tracemalloc.start()
         try:
             back = pull_back_coloring(report, decision.coloring, lists, w)
@@ -447,3 +441,103 @@ class TestPullBack:
             tracemalloc.stop()
         assert validate_coloring(Instance.path(w, lists), back)
         assert peak < 64 * 2**20
+
+
+class TestLastPlan:
+    # _plan keeps the plan of the last lists it was given, so a round trip
+    # plans once; the kept plan must be what planning again would give
+
+    def test_a_hit_returns_what_a_miss_plans(self):
+        # every good list over four colors on 1-4 vertices, as in
+        # TestAgainstReference, then long paths; each batch is planned with
+        # the memo cleared before every list, then each list is planned
+        # again and asked for once more from new objects, which must hit
+        from choosable.waterfall import _plan
+
+        cases = [
+            (lists, (0,) * m) for m in range(1, 5) for lists in all_lists(range(1, 5), 4, m)
+        ]
+        cases += [planted_good_path(seed, 900)[::-1] for seed in range(4)]
+        for start in range(0, len(cases), 4096):
+            batch = cases[start : start + 4096]
+            cold = []
+            for lists, w in batch:
+                _plan.cache_clear()
+                cold.append(to_waterfall(lists, w))
+            for (lists, w), expected in zip(batch, cold):
+                miss = to_waterfall(lists, w)
+                hit = to_waterfall([list(colors) for colors in lists], list(w))
+                assert hit is miss and hit == expected, lists
+            assert _plan.cache_info().hits == len(batch)
+
+    def test_a_foreign_report_is_refused_whatever_the_plan_kept(self):
+        lists, other, w = L({1, 2}, {1, 2}, {1, 2}), L({1}, {1, 2}, {1, 3}), (1, 1, 1)
+        _, foreign = to_waterfall(other, w)
+        message = "report is not the transform of these lists"
+        for kept in (other, lists):
+            to_waterfall(kept, w)
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                pull_back_coloring(foreign, L({1}, {2}, {1}), lists, w)
+
+    def test_pull_back_after_other_lists_plans_anew(self):
+        from choosable.waterfall import _plan
+
+        w, lists = planted_good_path(5, 300)
+        out, report = to_waterfall(lists, w)
+        coloring = decide_waterfall(out, w).coloring
+        expected = pull_back_coloring(report, coloring, lists, w)
+        other_w, other = planted_good_path(6, 300)
+        to_waterfall(other, other_w)
+        misses = _plan.cache_info().misses
+        assert pull_back_coloring(report, coloring, lists, w) == expected
+        assert _plan.cache_info().misses == misses + 1
+        assert validate_coloring(Instance.path(w, lists), expected)
+
+    def test_one_plan_is_kept(self):
+        # a short plan replaces a long one, which leaves nothing behind
+        w, lists = planted_good_path(7, 10**4)
+        to_waterfall([[0]], [0])  # what the first call sets up is not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            to_waterfall(lists, w)
+            long_kept = tracemalloc.get_traced_memory()[0] - base
+            to_waterfall([[0]], [0])
+            short_kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert long_kept > 2**20  # the walk sees the long plan kept
+        # the interpreter keeps some freed small tuples for reuse: a few
+        # hundred KiB of them stay counted
+        assert short_kept < long_kept / 20
+
+    def test_round_trips_in_two_threads(self):
+        # the kept plan is the one state shared between calls; lengths vary
+        # so that one thread's plan can start before and end after another's
+        jobs = [
+            [planted_good_path(1000 * t + k, 5 + (7 * k + 13 * t) % 60)[::-1] for k in range(200)]
+            for t in (1, 2)
+        ]
+
+        def round_trip(lists, w):
+            out, report = to_waterfall(lists, w)
+            return pull_back_coloring(report, decide_waterfall(out, w).coloring, lists, w)
+
+        serial = [[round_trip(lists, w) for lists, w in job] for job in jobs]
+        results = [None] * len(jobs)
+
+        def run(t):
+            results[t] = [round_trip(lists, w) for lists, w in jobs[t]]
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
