@@ -75,7 +75,8 @@ def as_lists(lists: Iterable[Iterable[int]]) -> ListAssignment:
     """Coerce per-vertex color collections into a tuple of frozensets.
 
     Duplicate colors within one entry collapse silently; lists are sets.
-    Every color must be a non-negative integer, whatever the input's type.
+    Every color must be a non-negative integer, whatever the input's type,
+    and is kept as a plain ``int``.
     """
     try:
         return _frozensets(lists)
@@ -93,7 +94,10 @@ def _frozensets(entries) -> tuple[frozenset[int], ...]:
         for color in entry:
             # the plain-int test alone passes nearly every color
             if type(color) is not int or color < 0:
-                _int_at_least(color, 0, "colors must be non-negative integers")
+                for c in entry:  # the first bad color in order is the one named
+                    _int_at_least(c, 0, "colors must be non-negative integers")
+                out[-1] = frozenset(map(int, entry))  # an int subclass kept as an int
+                break
     return tuple(out)
 
 

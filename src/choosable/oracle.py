@@ -3,12 +3,14 @@
 Plain depth-first enumeration, vertices in index order from vertex 0, or
 from the pinned vertex around the cycle, candidate subsets of each list in
 lexicographic order, pruning only on adjacent disjointness (the wrap edge of
-a cycle is checked at the last vertex visited, against the first).  Deliberately
+a cycle is checked at the last vertex visited, against the first).  A
+candidate is kept when it misses the set kept for the vertex before, one
+set test, and the kept frozensets are the coloring returned.  Deliberately
 independent of the interval machinery so the two routes can check each
 other.  Each vertex on the current branch draws its candidates lazily, so
-memory grows with the path length and the colors in play, not with
-C(|L(v)|, w(v)), and the node budget bounds both time and memory: a runaway
-search ends in an explicit error rather than a silent wrong answer.
+memory grows with the path length, not with C(|L(v)|, w(v)), and the node
+budget bounds both time and memory: a runaway search ends in an explicit
+error rather than a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .model import (
     Topology,
 )
 
+# an immutable record, so every call without a budget can share it
+_DEFAULT_BUDGET = SearchBudget()
+_NONE: frozenset[int] = frozenset()  # what the first vertex visited must miss
+
 
 def brute_force(inst: Instance, budget: SearchBudget | None = None) -> Decision:
     """Decide an instance by exhaustive search.
@@ -33,7 +39,7 @@ def brute_force(inst: Instance, budget: SearchBudget | None = None) -> Decision:
     ordered over sorted color values) or a summary certificate covering the
     whole instance.
     """
-    return _search(inst, None, budget or SearchBudget())
+    return _search(inst, None, budget or _DEFAULT_BUDGET)
 
 
 def brute_force_forced(
@@ -43,54 +49,53 @@ def brute_force_forced(
 
     The search starts at v0, so the wrap edge, checked last, meets the pin.
     """
-    return _search(fi.cycle, (fi.v0, fi.forced), budget or SearchBudget())
+    return _search(fi.cycle, (fi.v0, fi.forced), budget or _DEFAULT_BUDGET)
 
 
 def _search(
     inst: Instance, pinned: tuple[int, frozenset[int]] | None, budget: SearchBudget
 ) -> Decision:
-    m = inst.n_vertices
-    start = pinned[0] if pinned is not None else 0
     lists, weights = inst.lists, inst.weights
-
-    # color sets as bitmasks, one bit per color in play whatever its value;
-    # chosen and masks are indexed by position in visiting order
-    bit = {c: 1 << k for k, c in enumerate(frozenset().union(*lists))}
+    m = len(weights)
+    start = pinned[0] if pinned is not None else 0
     wrap = inst.topology is Topology.CYCLE
-    chosen: list[tuple[int, ...]] = [()] * m
-    masks = [0] * m
+    # chosen[v] is the color set kept for vertex v on the current branch
+    chosen = [_NONE] * m
     cap = budget.max_nodes
     nodes = 0
 
     # one lazy iterator over the candidate subsets of each vertex on the
-    # current branch; the pinned vertex's only candidate is its forced set
+    # current branch: ``combos`` for the vertex ``v`` being tried, ``stack``
+    # for those before it; the pinned vertex's only candidate is its forced set
     first = pinned[1] if pinned is not None else lists[0]
-    stack = [itertools.combinations(sorted(first), weights[start])]
-    while stack:
-        k = len(stack) - 1
-        prev_mask = masks[k - 1] if k else 0
-        last = k == m - 1
-        for combo in stack[-1]:
+    combos = itertools.combinations(sorted(first), weights[start])
+    stack = []
+    v = start
+    while True:
+        last = len(stack) == m - 1
+        # a candidate must miss the set kept for the vertex before, v - 1
+        # around the cycle, and at the last vertex of a cycle the first one's
+        avoid = chosen[v - 1] if stack else _NONE
+        if last and wrap:
+            avoid = avoid | chosen[start]
+        misses = avoid.isdisjoint
+        for combo in combos:
             nodes += 1
             if nodes > cap:
                 raise BudgetExceededError(nodes, cap)
-            mask = 0
-            for c in combo:
-                mask |= bit[c]
-            if mask & prev_mask:
-                continue
-            if last and wrap and mask & masks[0]:
-                continue
-            chosen[k] = combo
-            masks[k] = mask
-            break
+            if misses(combo):
+                chosen[v] = frozenset(combo)
+                break
         else:
-            stack.pop()
+            if not stack:
+                break
+            combos = stack.pop()
+            v = (v - 1) % m
             continue
         if last:
-            coloring = tuple(frozenset(chosen[(v - start) % m]) for v in range(m))
-            return Decision(True, coloring=coloring)
-        v = (start + k + 1) % m
-        stack.append(itertools.combinations(sorted(lists[v]), weights[v]))
-    summary = Certificate(0, m - 1, len(bit), sum(weights))
+            return Decision(True, coloring=tuple(chosen))
+        stack.append(combos)
+        v = (v + 1) % m
+        combos = itertools.combinations(sorted(lists[v]), weights[v])
+    summary = Certificate(0, m - 1, len(frozenset().union(*lists)), sum(weights))
     return Decision(False, certificate=summary)

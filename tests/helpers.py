@@ -1,4 +1,4 @@
-"""Shared builders, enumerators and the reference scan, greedy and transform for the test suite."""
+"""Shared builders, enumerators and the reference scan, greedy, transform and search."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ from collections import deque
 from choosable import (
     Certificate,
     Coloring,
+    Decision,
     Instance,
     ListAssignment,
+    Topology,
     TransformReport,
     Weights,
 )
@@ -266,3 +268,50 @@ def reference_waterfall_doc(transformed, report) -> dict:
             "iterations": report.iterations,
         },
     }
+
+
+def reference_search(inst: Instance, pinned=None) -> tuple[Decision, int]:
+    """The oracle's search with bitmasks, as it was, and its node count.
+
+    ``pinned`` is ``(v0, forced)`` for a pinned cycle.  The same depth-first
+    enumeration as ``oracle._search``: a color set is a bitmask, one bit per
+    color in play, and a candidate is tried by building its mask.  There is
+    no cap; the returned count is the node where a cap would have tripped,
+    less one.
+    """
+    m = inst.n_vertices
+    start = pinned[0] if pinned is not None else 0
+    lists, weights = inst.lists, inst.weights
+    bit = {c: 1 << k for k, c in enumerate(frozenset().union(*lists))}
+    wrap = inst.topology is Topology.CYCLE
+    chosen: list[tuple[int, ...]] = [()] * m
+    masks = [0] * m
+    nodes = 0
+    first = pinned[1] if pinned is not None else lists[0]
+    stack = [itertools.combinations(sorted(first), weights[start])]
+    while stack:
+        k = len(stack) - 1
+        prev_mask = masks[k - 1] if k else 0
+        last = k == m - 1
+        for combo in stack[-1]:
+            nodes += 1
+            mask = 0
+            for c in combo:
+                mask |= bit[c]
+            if mask & prev_mask:
+                continue
+            if last and wrap and mask & masks[0]:
+                continue
+            chosen[k] = combo
+            masks[k] = mask
+            break
+        else:
+            stack.pop()
+            continue
+        if last:
+            coloring = tuple(frozenset(chosen[(v - start) % m]) for v in range(m))
+            return Decision(True, coloring=coloring), nodes
+        v = (start + k + 1) % m
+        stack.append(itertools.combinations(sorted(lists[v]), weights[v]))
+    summary = Certificate(0, m - 1, len(bit), sum(weights))
+    return Decision(False, certificate=summary), nodes

@@ -8,9 +8,11 @@ searches or verifies the instance it parsed, so a command coerces its
 lists once too.  Scalar parameters, interval ends and the
 good-list bound each have one check that every entry shares, so they fail
 alike wherever they enter, and a container of the wrong shape is invalid
-input like a bad color.
+input like a bad color.  A color of an ``int`` subclass is kept as a plain
+``int``, and a search without a budget shares the oracle's default.
 """
 
+import enum
 import json
 import re
 import sys
@@ -26,10 +28,13 @@ from choosable import (
     InvalidInputError,
     NotGoodError,
     PreconditionError,
+    SearchBudget,
     TransformReport,
     alpha_path,
     amplitude,
     as_lists,
+    brute_force,
+    brute_force_forced,
     construct_coloring_general,
     construct_coloring_waterfall,
     counterexample_list,
@@ -48,7 +53,9 @@ from choosable import (
     to_waterfall,
     validate_coloring,
 )
-from choosable.cli import main
+from choosable.cli import build_parser, main
+from choosable.oracle import _DEFAULT_BUDGET
+from choosable.waterfall import _plan
 from helpers import L
 
 BAD_COLORS = [-2, True, "a"]
@@ -95,6 +102,53 @@ def test_a_duplicate_hides_no_color(entry):
         as_lists([iter(entry)])
     with pytest.raises(InvalidInputError, match=message):
         FreeChoiceInstance(Instance.cycle((1, 1, 1), [{0, 1, 2, 3}] * 3), 0, entry)
+
+
+class Hue(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+    NINE = 9
+
+
+def _leaves(value):
+    """Every leaf of nested tuples, frozensets and transform reports."""
+    if isinstance(value, TransformReport):
+        value = (value.run_renames, value.relabel_map, value.replacements)
+    if isinstance(value, (tuple, frozenset)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_an_int_subclass_color_comes_back_an_int():
+    # an IntEnum color equals and hashes like its int, so a frozenset would
+    # keep it, and the kept plan would hand it to a later caller's equal lists
+    plain = L({1}, {1, 2}, {1, 3}, {2, 3}, {9})
+    hued = [[Hue(c) for c in sorted(entry)] for entry in plain]
+    ones = (1,) * 5
+    forced = FreeChoiceInstance(Instance.cycle((1, 1, 1), [list(Hue)[:3]] * 3), 0, [Hue.ONE])
+    _plan.cache_clear()
+    results = (
+        Instance.path(ones, hued).lists,
+        brute_force(Instance.path(ones, hued)).coloring,
+        forced.forced,
+        brute_force_forced(forced).coloring,
+        to_waterfall(hued, ones),
+        to_waterfall(plain, ones),
+        to_waterfall(hued, ones),
+    )
+    assert _plan.cache_info().hits == 2
+    assert {type(leaf) for leaf in _leaves(results)} == {int}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, "x"], ids=repr)
+def test_an_int_subclass_hides_no_bad_color(bad):
+    message = f"^colors must be non-negative integers, got {re.escape(repr(bad))}$"
+    for entry in ([Hue.TWO, bad], [bad, Hue.TWO], [3, Hue.TWO, bad]):
+        with pytest.raises(InvalidInputError, match=message):
+            as_lists([entry])
 
 
 TWO = Instance.path([1, 1], [[1, 2], [2, 3]])
@@ -349,6 +403,41 @@ CALLS = {
 def test_one_call_coerces_its_lists_once(entry, as_lists_calls):
     CALLS[entry]()
     assert len(as_lists_calls) == 1
+
+
+@pytest.fixture
+def budgets_made(monkeypatch):
+    """Count ``SearchBudget`` constructions."""
+    original = SearchBudget.__init__
+    made = []
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SearchBudget, "__init__", counted)
+    return made
+
+
+GOOD_PATH = Instance.path(ONES, GOOD)
+SEARCHES = {
+    "brute_force(inst)": lambda: brute_force(GOOD_PATH),
+    "brute_force(inst, None)": lambda: brute_force(GOOD_PATH, None),
+    "brute_force_forced(fi)": lambda: brute_force_forced(FORCED),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_a_search_without_a_budget_makes_none(search, budgets_made, as_lists_calls):
+    # the default budget is one shared immutable record, and the instance
+    # was checked when it was built
+    assert SEARCHES[search]().colorable
+    assert budgets_made == [] and as_lists_calls == []
+
+
+def test_one_default_budget():
+    assert _DEFAULT_BUDGET == SearchBudget() == SearchBudget(10_000_000)
+    assert build_parser().parse_args(["oracle", "doc.json"]).budget == _DEFAULT_BUDGET.max_nodes
 
 
 GOOD_DOC = json.dumps({"graph": "path", "weights": ONES, "lists": [sorted(x) for x in GOOD]})

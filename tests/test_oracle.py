@@ -17,7 +17,7 @@ from choosable import (
     counterexample_list,
     validate_coloring,
 )
-from helpers import L, planted_good_path
+from helpers import L, planted_good_path, reference_search
 
 
 class TestBruteForce:
@@ -116,6 +116,20 @@ class TestBruteForce:
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         assert digest == "62c3cf2dc1f8d003136237b91839a5b80a24d4dee21d8678ef44710fa2512038"
 
+    def test_long_path_memory(self):
+        # the kept sets and one candidate iterator a vertex; the bitmask
+        # search this replaced peaked at 4.34-4.60 MiB on Python 3.11.7
+        w, lists = planted_good_path(1, 10**4)
+        inst = Instance.path(w, lists)
+        tracemalloc.start()
+        try:
+            d = brute_force(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.colorable
+        assert peak < 4.6 * 2**20
+
     def test_long_path_needs_no_recursion(self):
         w, lists = planted_good_path(1, 1200)
         inst = Instance.path(w, lists)
@@ -156,6 +170,60 @@ class TestBruteForce:
                 brute_force(Instance.path(w, lists)).colorable
                 == brute_force(Instance.path(w[::-1], lists[::-1])).colorable
             )
+
+
+def small_searches():
+    """Seeded paths, plain cycles and pinned cycles of 3-9 vertices."""
+    rng = random.Random(11)
+    for _ in range(4000):
+        m = rng.randint(3, 9)
+        palette = [2**62] + rng.sample([0, 1, 2, 3, 5, 2**62 + 1], rng.randint(1, 6))
+        lists = [rng.sample(palette, rng.randint(0, len(palette))) for _ in range(m)]
+        w = [rng.randint(0, min(3, len(entry))) for entry in lists]
+        kind = rng.choice(("path", "cycle", "pinned"))
+        if kind == "path":
+            yield Instance.path(w, lists)
+        elif kind == "cycle":
+            yield Instance.cycle(w, lists)
+        else:
+            v0 = rng.randrange(m)
+            w[v0] = min(w[v0], len(lists[v0]))
+            yield FreeChoiceInstance(Instance.cycle(w, lists), v0, rng.sample(lists[v0], w[v0]))
+
+
+def c8_searches():
+    """Pinned 6-cycles with weight 3 and 7-color lists, drawn as acceptance test C8 draws them."""
+    rng = random.Random(12)
+    for _ in range(300):
+        lists = [rng.sample(range(rng.randint(7, 14)), 7) for _ in range(6)]
+        v0 = rng.randrange(6)
+        yield FreeChoiceInstance(Instance.cycle((3,) * 6, lists), v0, rng.sample(lists[v0], 3))
+
+
+SEARCH_FAMILIES = {
+    "planted-paths": lambda: (
+        Instance.path(*planted_good_path(seed, m)) for seed in range(4) for m in (300, 1200)
+    ),
+    "small": small_searches,
+    "c8-cycles": c8_searches,
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEARCH_FAMILIES))
+def test_search_matches_the_bitmask_search(family):
+    # the same decision, and a cap that trips exactly where the reference
+    # counted its last node: the enumeration visits the same nodes
+    for target in SEARCH_FAMILIES[family]():
+        if isinstance(target, FreeChoiceInstance):
+            search, inst, pinned = brute_force_forced, target.cycle, (target.v0, target.forced)
+        else:
+            search, inst, pinned = brute_force, target, None
+        expected, nodes = reference_search(inst, pinned)
+        assert search(target, SearchBudget(max(nodes, 1))) == expected
+        if nodes > 1:
+            with pytest.raises(BudgetExceededError) as exc:
+                search(target, SearchBudget(nodes - 1))
+            assert (exc.value.nodes, exc.value.max_nodes) == (nodes, nodes - 1)
 
 
 class TestBruteForceForced:
