@@ -39,7 +39,8 @@ from .model import (
     InternalInvariantError,
     InvalidInputError,
     SearchBudget,
-    Topology,
+    _CYCLE,
+    _PATH,
     _check_good,
     _int_at_least,
     as_lists,
@@ -103,7 +104,7 @@ def parse_instance(text: str | bytes) -> Instance | FreeChoiceInstance:
         raise ParseError(f'field "graph" must be "path" or "cycle", got {graph!r}')
     weights = _array(_require(doc, "weights"), "weights")
     lists = _arrays(_require(doc, "lists"), "lists")
-    topology = Topology.PATH if graph == "path" else Topology.CYCLE
+    topology = _PATH if graph == "path" else _CYCLE
     inst = Instance(topology, weights, lists)
     for i, (colors, entry) in enumerate(zip(inst.lists, lists)):
         if len(colors) != len(entry):
@@ -209,7 +210,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         from .cycles import solve_free_choice
 
         decision = solve_free_choice(obj)
-    elif obj.topology is Topology.PATH:
+    elif obj.topology is _PATH:
         from .hall import _decide
 
         decision = _decide(obj)
@@ -249,7 +250,7 @@ def cmd_waterfall(args: argparse.Namespace) -> int:
     from .waterfall import _runs, _stages
 
     obj = parse_instance(_read(args.file))
-    if isinstance(obj, FreeChoiceInstance) or obj.topology is not Topology.PATH:
+    if isinstance(obj, FreeChoiceInstance) or obj.topology is not _PATH:
         raise InvalidInputError("the waterfall transform applies to path instances")
     _check_good(obj.lists, obj.weights)
     m = obj.n_vertices

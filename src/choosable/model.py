@@ -21,7 +21,7 @@ plan, an immutable value, in a thread-safe memo), so concurrent use is safe.
 from __future__ import annotations
 
 from enum import Enum
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 Color = int
 ListAssignment = tuple[frozenset[int], ...]
@@ -62,6 +62,10 @@ class InternalInvariantError(RuntimeError):
 class Topology(Enum):
     PATH = "path"
     CYCLE = "cycle"
+
+
+# Bound once: on Python 3.11 ``Topology.PATH`` is an ``EnumType.__getattr__`` call.
+_PATH, _CYCLE = Topology.PATH, Topology.CYCLE
 
 
 def _int_at_least(value, least: int, message: str, error=InvalidInputError) -> int:
@@ -131,6 +135,8 @@ class _Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
@@ -179,9 +185,9 @@ class Instance(_Record):
         n = len(weights)
         if n != len(lists):
             raise InvalidInputError(f"{n} weights for {len(lists)} lists")
-        if topology is Topology.PATH and n < 1:
+        if topology is _PATH and n < 1:
             raise InvalidInputError("a path needs at least one vertex")
-        if topology is Topology.CYCLE and n < 3:
+        if topology is _CYCLE and n < 3:
             raise InvalidInputError("a cycle needs at least three vertices")
         _set(self, "topology", topology)
         _set(self, "weights", weights)
@@ -189,22 +195,15 @@ class Instance(_Record):
 
     @classmethod
     def path(cls, weights: Iterable[int], lists: Iterable[Iterable[int]]) -> Instance:
-        return cls(Topology.PATH, weights, lists)
+        return cls(_PATH, weights, lists)
 
     @classmethod
     def cycle(cls, weights: Iterable[int], lists: Iterable[Iterable[int]]) -> Instance:
-        return cls(Topology.CYCLE, weights, lists)
+        return cls(_CYCLE, weights, lists)
 
     @property
     def n_vertices(self) -> int:
         return len(self.weights)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        n = self.n_vertices
-        for v in range(n - 1):
-            yield v, v + 1
-        if self.topology is Topology.CYCLE:
-            yield n - 1, 0
 
 
 class FreeChoiceInstance(_Record):
@@ -214,7 +213,7 @@ class FreeChoiceInstance(_Record):
 
     def __init__(self, cycle: Instance, v0: int, forced: frozenset[int]) -> None:
         (forced,) = as_lists((forced,))
-        if not isinstance(cycle, Instance) or cycle.topology is not Topology.CYCLE:
+        if not isinstance(cycle, Instance) or cycle.topology is not _CYCLE:
             raise InvalidInputError("free choice instances are rooted in cycles")
         if _int_at_least(v0, 0, "v0 must be a non-negative integer") >= cycle.n_vertices:
             raise InvalidInputError(f"v0 = {v0} out of range")
@@ -292,10 +291,10 @@ def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool
     sets.  A coloring with the wrong number of entries, or with a color that
     is not a non-negative integer, raises ``InvalidInputError``.
     """
-    return _proper(inst.lists, inst.weights, coloring, inst.edges()) is not None
+    return _proper(inst.lists, inst.weights, coloring, inst.topology is _CYCLE) is not None
 
 
-def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> Coloring | None:
+def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, wrap: bool) -> Coloring | None:
     """``validate_coloring`` on checked lists and weights: the coloring if proper, else None."""
     try:
         c = _frozensets(coloring)
@@ -303,10 +302,15 @@ def _proper(L: Sequence[AbstractSet[int]], w: Weights, coloring, edges) -> Color
         raise InvalidInputError(f"a coloring must be collections of colors: {exc}") from None
     if len(c) != len(L):
         raise InvalidInputError(f"coloring has {len(c)} entries for {len(L)} vertices")
+    return c if _fits(L, w, c, wrap) else None
+
+
+def _fits(L: Sequence[AbstractSet[int]], w: Weights, c: Coloring, wrap: bool) -> bool:
+    """Whether each c(v) is w(v) colors of L(v) missing c(v+1), and c(n-1) c(0) if ``wrap``."""
     for v in range(len(L)):
         if len(c[v]) != w[v] or not c[v] <= L[v]:
-            return None
-    return None if any(c[u] & c[v] for u, v in edges) else c
+            return False
+    return all(map(frozenset.isdisjoint, c, c[1:])) and not (wrap and c[-1] & c[0])
 
 
 def amplitude(lists: Iterable[Iterable[int]], i: int, j: int) -> frozenset[int]:

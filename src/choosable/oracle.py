@@ -24,7 +24,7 @@ from .model import (
     FreeChoiceInstance,
     Instance,
     SearchBudget,
-    Topology,
+    _CYCLE,
 )
 
 # an immutable record, so every call without a budget can share it
@@ -58,7 +58,7 @@ def _search(
     lists, weights = inst.lists, inst.weights
     m = len(weights)
     start = pinned[0] if pinned is not None else 0
-    wrap = inst.topology is Topology.CYCLE
+    wrap = inst.topology is _CYCLE
     # chosen[v] is the color set kept for vertex v on the current branch
     chosen = [_NONE] * m
     cap = budget.max_nodes

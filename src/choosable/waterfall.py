@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from .model import (
@@ -51,10 +51,10 @@ from .model import (
     InvalidInputError,
     ListAssignment,
     _check_good,
+    _fits,
     _proper,
     _Record,
     _set,
-    validate_coloring,
 )
 
 Rename = tuple[int, int, int, int]  # (old, new, start, end): old becomes new on start..end
@@ -166,7 +166,7 @@ def _stages(
     # Stage 1: detached runs, left to right (ties by color), each get their
     # own fresh label.  Fresh labels count up from above every input color,
     # so only input colors need to be remembered.
-    first_fresh = fresh = max((x for _, x, _ in runs), default=-1) + 1
+    first_fresh = fresh = max(map(itemgetter(1), runs), default=-1) + 1
     run_renames, seen = [], set()
     for k, (first, x, last) in enumerate(runs):
         if x in seen:
@@ -180,15 +180,18 @@ def _stages(
     # Stage 2: the k-th span in (first, last, label) order takes the k-th
     # smallest label: the input colors in order, then the fresh ones.
     spans.sort()
-    labels = chain(sorted(seen), range(first_fresh, fresh))
     if not run_renames and all(last - first < 2 for first, last, _ in spans):
         labels = [x for _, _, x in spans]  # waterfall form: no event to order
+    else:
+        labels = sorted(seen)
+        labels += range(first_fresh, fresh)
     del seen
     relabel = []
     for k, ((first, last, x), new) in enumerate(zip(spans, labels)):
         if x != new:
             relabel.append((x, new))
         spans[k] = (new, first, last)
+    del labels
 
     # Stage 3: labels now follow span order and each fresh label exceeds
     # every label before it, so first in, first out is the order of
@@ -239,7 +242,7 @@ def pull_back_coloring(
     work, planned = _plan(L)
     if planned != report:
         raise InvalidInputError("report is not the transform of these lists")
-    c = _proper(work, original.weights, c_waterfall, original.edges())
+    c = _proper(work, original.weights, c_waterfall, False)
     if c is None:
         raise InvalidInputError("coloring is not valid for the transformed list")
 
@@ -249,7 +252,8 @@ def pull_back_coloring(
     source |= {new: source.get(old, old) for old, new in planned.relabel_map}
     for old, new, _, _ in planned.replacements:
         source[new] = source.get(old, old)
-    c = [{source.get(x, x) for x in entry} for entry in c]
+    label = source.get
+    c = [set(map(label, entry, entry)) for entry in c]
     for v in range(len(c) - 2, 0, -1):
         for x in sorted(c[v] & c[v + 1]):
             z = min(L[v] - c[v - 1] - c[v] - c[v + 1], default=None)
@@ -261,7 +265,7 @@ def pull_back_coloring(
                 c[v - 1] ^= {x, z}
             c[v] ^= {x, z}
 
-    result = tuple(frozenset(entry) for entry in c)
-    if not validate_coloring(original, result):
+    result = tuple(map(frozenset, c))
+    if not _fits(L, original.weights, result, False):
         raise InternalInvariantError("pulled-back coloring is invalid for the original list")
     return result

@@ -21,7 +21,8 @@ plain tuple, not a record.  ``waterfall._plan`` keeps its last plan, so a
 round trip plans once, and it is the package's one memo.
 ``choosable waterfall`` writes the labels the stages place and the fresh
 labels in the order they were issued, never the tuple of frozensets that
-``to_waterfall`` returns or a sorted copy of ``fresh_colors``.
+``to_waterfall`` returns or a sorted copy of ``fresh_colors``.  Functions
+read the ``Topology`` members that ``model`` binds once.
 """
 
 import ast
@@ -193,6 +194,25 @@ def test_to_waterfall_does_not_replay():
         ("waterfall", "pull_back_coloring"),
         ("waterfall", "to_waterfall"),
     ]
+
+
+def reads_topology_member(node):
+    """``Topology.PATH`` or ``Topology.CYCLE``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "Topology"
+        and node.attr in ("PATH", "CYCLE")
+    )
+
+
+def test_topology_members_are_bound_once():
+    # on Python 3.11 every ``Topology.PATH`` is an ``EnumType.__getattr__``
+    # call, about three times a plain attribute read, and an instance is
+    # built on every public call; so functions read ``model._PATH`` and
+    # ``model._CYCLE``, which the module binds once
+    assert functions_where(reads_topology_member) == []
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    assert sum(map(reads_topology_member, ast.walk(tree))) == 2  # the walk sees the binding
 
 
 MEMOS = {"cache", "cached_property", "lru_cache"}

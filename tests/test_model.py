@@ -55,6 +55,32 @@ class TestValidateColoring:
         with pytest.raises(InvalidInputError):
             validate_coloring(inst, L({1},))
 
+    def test_every_small_coloring_matches_the_edge_list(self):
+        # every coloring of paths of 1-4 and cycles of 3-5 vertices over the
+        # colors {1, 2, 3} with weights 0-1, against a walk over the edges
+        # written out: consecutive pairs, and the last and first on a cycle;
+        # odd vertices lack color 3, so the list test is walked too
+        entries = [frozenset(), *(frozenset({x}) for x in (1, 2, 3))]
+        shapes = [(Instance.path, n, False) for n in range(1, 5)]
+        shapes += [(Instance.cycle, n, True) for n in range(3, 6)]
+        checked = 0
+        for make, n, wrap in shapes:
+            lists = [{1, 2, 3} if v % 2 == 0 else {1, 2} for v in range(n)]
+            edges = [(v, v + 1) for v in range(n - 1)] + [(n - 1, 0)] * wrap
+            for weights in itertools.product((0, 1), repeat=n):
+                inst = make(weights, lists)
+                for c in itertools.product(entries, repeat=n):
+                    fits = all(len(c[v]) == weights[v] and c[v] <= lists[v] for v in range(n))
+                    expected = fits and not any(c[u] & c[v] for u, v in edges)
+                    assert validate_coloring(inst, c) == expected, (n, wrap, weights, c)
+                    checked += 1
+        assert checked == 2 * 4 + 4 * 16 + 8 * 64 + 16 * 256 + 8 * 64 + 16 * 256 + 32 * 1024
+
+    def test_a_clash_across_the_wrap_edge_alone(self):
+        lists, coloring = L({1, 2}, {2, 3}, {1, 3}), L({1}, {2}, {1})
+        assert validate_coloring(Instance.path((1, 1, 1), lists), coloring)
+        assert not validate_coloring(Instance.cycle((1, 1, 1), lists), coloring)
+
     @settings(max_examples=150, deadline=None)
     @given(small_lists, st.randoms(use_true_random=False))
     def test_accepted_coloring_implies_oracle_colorable(self, lists, rnd):
@@ -204,13 +230,6 @@ class TestInstance:
         inst = Instance.path((1,), [[2, 2, 2]])
         assert inst.lists == (frozenset({2}),)
 
-    def test_edges(self):
-        assert list(Instance.path((1, 1, 1), L({1}, {1}, {1})).edges()) == [(0, 1), (1, 2)]
-        assert list(Instance.cycle((1, 1, 1), L({1}, {1}, {1})).edges()) == [
-            (0, 1),
-            (1, 2),
-            (2, 0),
-        ]
 
 
 class TestDecision:
