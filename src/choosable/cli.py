@@ -213,7 +213,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     elif obj.topology is _PATH:
         from .hall import _decide
 
-        decision = _decide(obj)
+        decision = _decide(obj.lists, obj.weights)
     else:
         raise InvalidInputError(
             'deciding a cycle needs a "forced" choice; use the oracle subcommand '
@@ -394,13 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -5,7 +5,8 @@ every pre-chosen b-subset of L(v0), a coloring giving each vertex b colors
 extends the choice.  The threshold is exact: the cycle of length n admits
 this for precisely the ratios a/b >= 2 + 1/floor(n/2).  Deciding a concrete
 instance reduces to a path: cut the cycle at v0 and pin both endpoints of
-the resulting path to the forced set.
+the resulting path to the forced set.  The cut is sliced from the cycle's
+checked lists and weights and decided as it is, with nothing checked again.
 
 All ratio comparisons are exact integer arithmetic; no floats anywhere.
 """
@@ -20,7 +21,9 @@ from .model import (
     FreeChoiceInstance,
     Instance,
     InvalidInputError,
+    ListAssignment,
     PreconditionError,
+    Weights,
     _int_at_least,
     _Record,
     _set,
@@ -90,48 +93,43 @@ def is_free_choosable(a: int, b: int, n: int) -> bool:
     return _half(n) * params.e >= params.b
 
 
+def _cut(fi: FreeChoiceInstance) -> tuple[ListAssignment, Weights]:
+    """The lists and weights of ``cycle_to_path``, sliced from the cycle's checked tuples."""
+    L, w, v0 = fi.cycle.lists, fi.cycle.weights, fi.v0
+    return (fi.forced,) + L[v0 + 1 :] + L[:v0] + (fi.forced,), w[v0:] + w[:v0] + (w[v0],)
+
+
 def cycle_to_path(fi: FreeChoiceInstance) -> Instance:
     """Cut the cycle at v0: a path whose both end lists are the forced set.
 
-    Vertex i of the path is cycle vertex (v0 + i) mod n for i < n; vertex n
+    Vertex p of the path is cycle vertex (v0 + p) mod n for p < n; vertex n
     aliases v0 again.  Both endpoints carry the forced set as their whole
     list, so any path coloring uses it exactly and maps back to a cycle
     coloring with c(v0) = forced.
     """
-    cyc = fi.cycle
-    n = cyc.n_vertices
-    lists = [fi.forced]
-    weights = [cyc.weights[fi.v0]]
-    for i in range(1, n):
-        v = (fi.v0 + i) % n
-        lists.append(cyc.lists[v])
-        weights.append(cyc.weights[v])
-    lists.append(fi.forced)
-    weights.append(cyc.weights[fi.v0])
+    lists, weights = _cut(fi)
     return Instance.path(weights, lists)
 
 
 def solve_free_choice(fi: FreeChoiceInstance) -> Decision:
     """Decide whether the forced choice extends to a coloring of the cycle.
 
-    Decides the path reduction by the route of ``hall_check_path``; on
-    success the alias vertex is dropped and the path coloring rotated back
-    onto the cycle, on failure the path certificate is returned as is: its
-    i..j index the cut path, whose vertex p is (v0 + p) mod n and n is v0.  The
+    Decides the cut path by the route of ``hall_check_path``; on success
+    the alias vertex is dropped and the path coloring rotated back onto the
+    cycle, on failure the path certificate is returned as is: its i..j
+    index the cut path, whose vertex p is (v0 + p) mod n and n is v0.  The
     path coloring is proper by construction, and both path ends carry the
     forced set as their whole list, so each takes exactly that set: the
     rotated coloring is proper on the wrap edge too and keeps the pin.
     """
     from .hall import _decide  # only here, so fchr and the other formulas skip hall
 
-    decision = _decide(cycle_to_path(fi))
+    decision = _decide(*_cut(fi))
     if not decision.colorable:
         return decision
-    n = fi.cycle.n_vertices
-    on_cycle: list[frozenset[int]] = [frozenset()] * n
-    for i in range(n):
-        on_cycle[(fi.v0 + i) % n] = decision.coloring[i]
-    return Decision(True, coloring=tuple(on_cycle))
+    c, k = decision.coloring, fi.cycle.n_vertices - fi.v0
+    # cycle vertices v0..n-1 are path vertices 0..k-1, and 0..v0-1 are k..n-1
+    return Decision(True, coloring=c[k:-1] + c[:k])
 
 
 def counterexample_list(a: int, b: int, n: int) -> FreeChoiceInstance:

@@ -21,6 +21,7 @@ a violated subpath, if there is one, starts at vertex 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from .model import (
@@ -71,27 +72,27 @@ def hall_summands(lists: Iterable[Iterable[int]], i: int, j: int) -> tuple[HallS
     return tuple(HallSummand(k, (i, j), alpha[k]) for k in sorted(alpha))
 
 
-def _alphas(L: ListAssignment, i: int, j: int) -> dict[int, int]:
+def _alphas(L: ListAssignment, i: int, j: int) -> Counter[int]:
     """Alpha of every color of the amplitude of ``i..j``, in one pass.
 
-    A run grown to odd length r adds one more unit: ceil(r / 2) in all.
+    v walks from j down to i, as where ``_greedy`` runs short: odd, the colors
+    of L(v) whose run from v, cut off at j, is odd, is L(v) less the odd set
+    of v + 1.  A run of length r holds ceil(r / 2) such vertices.
     """
     _check_interval(i, j, len(L))
-    alpha: dict[int, int] = {}
-    run: dict[int, int] = {}
-    for v in range(i, j + 1):
-        run = {k: run.get(k, 0) + 1 for k in L[v]}
-        for k, r in run.items():
-            if r & 1:
-                alpha[k] = alpha.get(k, 0) + 1
+    alpha: Counter[int] = Counter()
+    odd: frozenset[int] = frozenset()
+    for v in range(j, i - 1, -1):
+        odd = L[v] - odd
+        alpha.update(odd)
     return alpha
 
 
-def _checked_waterfall(lists, weights) -> Instance:
+def _checked_waterfall(lists, weights) -> tuple[ListAssignment, Weights]:
     inst = Instance.path(weights, lists)
     if not _is_waterfall(inst.lists):
         raise NotWaterfallError("lists at distance two or more share a color")
-    return inst
+    return inst.lists, inst.weights
 
 
 def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> Decision:
@@ -102,16 +103,17 @@ def hall_check_path(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> D
     end, and the smallest left end among those, with its alpha sum and
     demand.
     """
-    return _decide(Instance.path(weights, lists))
+    inst = Instance.path(weights, lists)
+    return _decide(inst.lists, inst.weights)
 
 
-def _decide(inst: Instance) -> Decision:
-    """The greedy's coloring, or the certificate it names where it runs short.
+def _decide(L: ListAssignment, w: Weights) -> Decision:
+    """The greedy's coloring of checked lists and weights, or the certificate it names.
 
     The coloring is proper by construction (see ``_greedy``), so it is
     returned unchecked.
     """
-    found = _greedy(inst.lists, inst.weights)
+    found = _greedy(L, w)
     if isinstance(found, Certificate):
         return Decision(False, certificate=found)
     if found is None:
@@ -129,7 +131,7 @@ def decide_waterfall(lists: Iterable[Iterable[int]], weights: Iterable[int]) -> 
     route of ``hall_check_path``, so a certificate counts the amplitude of
     the violated interval that route names.
     """
-    return _decide(_checked_waterfall(lists, weights))
+    return _decide(*_checked_waterfall(lists, weights))
 
 
 def decide_waterfall_prefix(
@@ -145,13 +147,12 @@ def decide_waterfall_prefix(
     the hypotheses are checked, the list is decided by the route of
     ``hall_check_path``.
     """
-    inst = _checked_waterfall(lists, weights)
-    L, w = inst.lists, inst.weights
+    L, w = _checked_waterfall(lists, weights)
     _check_good(L, w)  # a NotGoodError is a PreconditionError
     v = len(L) - 1
     if len(L[v]) < w[v]:
         raise PreconditionError(f"last vertex has |L({v})| = {len(L[v])} < w({v}) = {w[v]}")
-    return _decide(inst)
+    return _decide(L, w)
 
 
 def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
@@ -227,7 +228,7 @@ def _greedy(L: ListAssignment, w: Weights) -> Coloring | Certificate | None:
                     r = e - v
                     ranked.append((2, 0, x) if e == last else (3, -r, x) if r & 1 else (1, r, x))
                 ranked.sort()
-                avail = frozenset(sorted(first) + [x for _, _, x in ranked[: need - len(first)]])
+                avail = first.union(x for _, _, x in ranked[: need - len(first)])
             taken = avail
         out.append(taken)
     if len(out) == m:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from collections import deque
+from pathlib import Path
 
 from choosable import (
     Certificate,
@@ -16,6 +18,17 @@ from choosable import (
     TransformReport,
     Weights,
 )
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name):
+    """``bench/<name>.py``, loaded by path: the benchmark is no package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def L(*entries):

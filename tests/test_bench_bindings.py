@@ -7,12 +7,9 @@ calls public functions of the package; renaming or dropping one breaks
 
 import ast
 import importlib
-import importlib.util
-from pathlib import Path
 
 import choosable
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from helpers import BENCH, bench_module
 
 
 def resolve(module, dotted):
@@ -23,9 +20,7 @@ def resolve(module, dotted):
 
 
 def test_traced_functions_resolve():
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = bench_module("spans")
     assert spans.SPANS and spans.COUNTS
     for module, attr, _ in spans.SPANS + spans.COUNTS:
         assert callable(resolve(module, attr)), (module, attr)

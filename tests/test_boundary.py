@@ -5,7 +5,8 @@ Every public operation on a path coerces its lists through ``Instance`` (or
 the checked tuples inward; nothing below an entry point coerces again.
 The command line checks only a document's shape and decides, scans,
 searches or verifies the instance it parsed, so a command coerces its
-lists once too.  Scalar parameters, interval ends and the
+lists once too; a pinned cycle adds one coercion of its forced set, and its
+cut path is sliced from the checked tuples.  Scalar parameters, interval ends and the
 good-list bound each have one check that every entry shares, so they fail
 alike wherever they enter, and a container of the wrong shape is invalid
 input like a bad color.  A color of an ``int`` subclass is kept as a plain
@@ -395,7 +396,6 @@ CALLS = {
     "amplitude": lambda: amplitude(GOOD, 1, 3),
     "alpha_path": lambda: alpha_path(GOOD, 0, 4, 1),
     "hall_summands": lambda: hall_summands(GOOD, 0, 4),
-    "solve_free_choice": lambda: solve_free_choice(FORCED),
 }
 
 
@@ -424,13 +424,15 @@ SEARCHES = {
     "brute_force(inst)": lambda: brute_force(GOOD_PATH),
     "brute_force(inst, None)": lambda: brute_force(GOOD_PATH, None),
     "brute_force_forced(fi)": lambda: brute_force_forced(FORCED),
+    "solve_free_choice(fi)": lambda: solve_free_choice(FORCED),
 }
 
 
 @pytest.mark.parametrize("search", sorted(SEARCHES))
 def test_a_search_without_a_budget_makes_none(search, budgets_made, as_lists_calls):
     # the default budget is one shared immutable record, and the instance
-    # was checked when it was built
+    # was checked when it was built: neither a search nor the cut of a
+    # pinned cycle coerces its lists again
     assert SEARCHES[search]().colorable
     assert budgets_made == [] and as_lists_calls == []
 
@@ -442,19 +444,38 @@ def test_one_default_budget():
 
 GOOD_DOC = json.dumps({"graph": "path", "weights": ONES, "lists": [sorted(x) for x in GOOD]})
 GOOD_COLORING = json.dumps([sorted(x) for x in hall_check_path(GOOD, ONES).coloring])
+# colorable, pinned away from vertex 0 so that the answer is rotated back
+PINNED_LISTS = [[1, 2, 3], [2, 3, 4], [1, 3, 4], [1, 2, 4], [2, 3, 4]]
+PINNED = FreeChoiceInstance(Instance.cycle((1,) * 5, PINNED_LISTS), 2, [4])
+PINNED_DOC = json.dumps(
+    {
+        "graph": "cycle",
+        "weights": [1] * 5,
+        "lists": PINNED_LISTS,
+        "forced": {"vertex": 2, "colors": [4]},
+    }
+)
+PINNED_COLORING = json.dumps([sorted(x) for x in solve_free_choice(PINNED).coloring])
 
 
 @pytest.mark.parametrize("command", ["decide", "waterfall", "oracle", "verify"])
 def test_one_command_coerces_its_lists_once(command, tmp_path, capsys, as_lists_calls):
     # the parsed instance is what the command decides, scans or searches,
-    # not coerced again, and verify checks the coloring's colors in place
-    path = tmp_path / "good.json"
-    path.write_text(GOOD_DOC, encoding="utf-8")
-    argv = [command, str(path)]
-    if command == "verify":
-        coloring = tmp_path / "coloring.json"
-        coloring.write_text(GOOD_COLORING, encoding="utf-8")
-        argv.append(str(coloring))
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert len(as_lists_calls) == 1
+    # not coerced again, and verify checks the coloring's colors in place;
+    # a pinned cycle coerces its lists and its forced set, once each, and
+    # decide cuts the path from the checked tuples
+    runs = [(GOOD_DOC, GOOD_COLORING, [json.loads(GOOD_DOC)["lists"]])]
+    if command != "waterfall":
+        runs.append((PINNED_DOC, PINNED_COLORING, [PINNED_LISTS, ([4],)]))
+    for doc, coloring_doc, coerced in runs:
+        path = tmp_path / "instance.json"
+        path.write_text(doc, encoding="utf-8")
+        argv = [command, str(path)]
+        if command == "verify":
+            coloring = tmp_path / "coloring.json"
+            coloring.write_text(coloring_doc, encoding="utf-8")
+            argv.append(str(coloring))
+        as_lists_calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert as_lists_calls == coerced

@@ -21,7 +21,7 @@ from choosable import (
     solve_free_choice,
     validate_coloring,
 )
-from helpers import L
+from helpers import L, bench_module
 
 
 class TestEvenCeil:
@@ -184,6 +184,37 @@ class TestCycleToPath:
             assert len(path.lists[0]) == len(path.lists[-1]) == b
             for i in range(1, n):
                 assert path.lists[i] == lists[(v0 + i) % n]
+
+
+class TestCutAgainstTheChecker:
+    """The cut and its answers, read by the benchmark's checker, which shares no code."""
+
+    def test_every_pinned_vertex(self):
+        check = bench_module("check")
+        rng = random.Random(27)
+        verdicts = set()
+        for _ in range(120):
+            n = rng.randint(3, 7)
+            weights = [rng.randint(0, 2) for _ in range(n)]
+            lists = [sorted(rng.sample(range(6), rng.randint(w, w + 3))) for w in weights]
+            cycle = Instance.cycle(weights, lists)
+            for v0 in range(n):  # v0 = 0 and v0 = n - 1 included
+                forced = sorted(rng.sample(lists[v0], weights[v0]))
+                fi = FreeChoiceInstance(cycle, v0, forced)
+                doc = {"graph": "cycle", "weights": weights, "lists": lists}
+                doc["forced"] = {"vertex": v0, "colors": forced}
+                cut_lists, cut_weights = check.cut_path(doc)
+                assert cycle_to_path(fi) == Instance.path(cut_weights, cut_lists)
+                d = solve_free_choice(fi)
+                verdicts.add(d.colorable)
+                if d.colorable:
+                    coloring = [sorted(colors) for colors in d.coloring]
+                    assert check.check_coloring(doc, coloring) == []
+                else:
+                    c = d.certificate
+                    cert = {"i": c.i, "j": c.j, "amplitude": c.amplitude_size, "demand": c.demand}
+                    assert check.check_certificate(doc, cert) == []
+        assert verdicts == {True, False}
 
 
 class TestSolveFreeChoice:

@@ -27,11 +27,28 @@ from choosable.hall import _greedy
 from helpers import (
     L,
     _hall_scan,
+    all_lists,
+    bench_module,
     planted_good_path,
     reference_greedy,
     waterfall_lists,
     weight_vectors,
 )
+
+
+def test_alphas_match_the_checkers_hall_sum():
+    # every list of at most four vertices over colors 1..3 with |L(v)| <= 2,
+    # each color counted alone by the benchmark's checker, which shares no code
+    check = bench_module("check")
+    for m in range(1, 5):
+        for lists in all_lists((1, 2, 3), 2, m):
+            for i in range(m):
+                for j in range(i, m):
+                    summands = {s.color: s.alpha for s in hall_summands(lists, i, j)}
+                    for k in (1, 2, 3):
+                        alone = [[k] if k in colors else [] for colors in lists]
+                        expected = check.hall_sum(alone, i, j)
+                        assert alpha_path(lists, i, j, k) == summands.get(k, 0) == expected
 
 
 class TestAlphaPath:
