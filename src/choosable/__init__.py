@@ -14,7 +14,6 @@ _EXPORTS = {
     "model": (
         "BudgetExceededError",
         "Certificate",
-        "Color",
         "Coloring",
         "Decision",
         "FreeChoiceInstance",
@@ -37,7 +36,6 @@ _EXPORTS = {
     ),
     "waterfall": ("TransformReport", "pull_back_coloring", "to_waterfall"),
     "hall": (
-        "HallSummand",
         "alpha_path",
         "construct_coloring_general",
         "construct_coloring_waterfall",

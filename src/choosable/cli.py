@@ -295,14 +295,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     obj = parse_instance(_read(args.instance))
-    coloring = _parse_coloring_document(_read(args.coloring))
-    if isinstance(obj, FreeChoiceInstance):
-        ok = (
-            validate_coloring(obj.cycle, coloring)
-            and frozenset(coloring[obj.v0]) == obj.forced
-        )
-    else:
-        ok = validate_coloring(obj, coloring)
+    ok = validate_coloring(obj, _parse_coloring_document(_read(args.coloring)))
     print(json.dumps({"valid": ok}))
     return 0 if ok else 1
 

@@ -38,21 +38,8 @@ from .model import (
     _check_interval,
     _int_at_least,
     _is_waterfall,
-    _Record,
-    _set,
     as_lists,
 )
-
-
-class HallSummand(_Record):
-    """One color's contribution to the Hall sum of a subpath."""
-
-    __slots__ = ("color", "subpath", "alpha")
-
-    def __init__(self, color: int, subpath: tuple[int, int], alpha: int) -> None:
-        _set(self, "color", color)
-        _set(self, "subpath", subpath)
-        _set(self, "alpha", alpha)
 
 
 def alpha_path(lists: Iterable[Iterable[int]], i: int, j: int, k: int) -> int:
@@ -66,10 +53,11 @@ def alpha_path(lists: Iterable[Iterable[int]], i: int, j: int, k: int) -> int:
     return alpha.get(_int_at_least(k, 0, "colors must be non-negative integers"), 0)
 
 
-def hall_summands(lists: Iterable[Iterable[int]], i: int, j: int) -> tuple[HallSummand, ...]:
-    """Per-color alpha contributions for the subpath ``i..j``, sorted by color."""
-    alpha = _alphas(as_lists(lists), i, j)
-    return tuple(HallSummand(k, (i, j), alpha[k]) for k in sorted(alpha))
+def hall_summands(
+    lists: Iterable[Iterable[int]], i: int, j: int
+) -> tuple[tuple[int, int], ...]:
+    """``(color, alpha)`` of each color of the subpath ``i..j``, sorted by color."""
+    return tuple(sorted(_alphas(as_lists(lists), i, j).items()))
 
 
 def _alphas(L: ListAssignment, i: int, j: int) -> Counter[int]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import AbstractSet, Iterable, Sequence
 
-Color = int
 ListAssignment = tuple[frozenset[int], ...]
 Weights = tuple[int, ...]
 Coloring = tuple[frozenset[int], ...]
@@ -42,7 +41,7 @@ class NotGoodError(PreconditionError):
     """The list misses the good-list bound at an interior vertex."""
 
 
-class NotWaterfallError(InvalidInputError):
+class NotWaterfallError(PreconditionError):
     """The list assignment is not in waterfall form."""
 
 
@@ -283,14 +282,20 @@ class SearchBudget(_Record):
         _set(self, "max_nodes", max_nodes)
 
 
-def validate_coloring(inst: Instance, coloring: Iterable[Iterable[int]]) -> bool:
+def validate_coloring(
+    inst: Instance | FreeChoiceInstance, coloring: Iterable[Iterable[int]]
+) -> bool:
     """Check that ``coloring`` is a proper list multicoloring of ``inst``.
 
     True iff every vertex gets exactly ``w(v)`` colors, all from ``L(v)``,
     and the endpoints of every edge (wrap edge included) receive disjoint
-    sets.  A coloring with the wrong number of entries, or with a color that
-    is not a non-negative integer, raises ``InvalidInputError``.
+    sets; on a pinned cycle, ``v0`` must also get exactly the forced set.
+    A coloring with the wrong number of entries, or with a color that is
+    not a non-negative integer, raises ``InvalidInputError``.
     """
+    if isinstance(inst, FreeChoiceInstance):
+        c = _proper(inst.cycle.lists, inst.cycle.weights, coloring, True)
+        return c is not None and c[inst.v0] == inst.forced
     return _proper(inst.lists, inst.weights, coloring, inst.topology is _CYCLE) is not None
 
 

@@ -39,7 +39,7 @@ def brute_force(inst: Instance, budget: SearchBudget | None = None) -> Decision:
     ordered over sorted color values) or a summary certificate covering the
     whole instance.
     """
-    return _search(inst, None, budget or _DEFAULT_BUDGET)
+    return _search(inst, 0, inst.lists[0], budget or _DEFAULT_BUDGET)
 
 
 def brute_force_forced(
@@ -49,15 +49,15 @@ def brute_force_forced(
 
     The search starts at v0, so the wrap edge, checked last, meets the pin.
     """
-    return _search(fi.cycle, (fi.v0, fi.forced), budget or _DEFAULT_BUDGET)
+    return _search(fi.cycle, fi.v0, fi.forced, budget or _DEFAULT_BUDGET)
 
 
 def _search(
-    inst: Instance, pinned: tuple[int, frozenset[int]] | None, budget: SearchBudget
+    inst: Instance, start: int, first: frozenset[int], budget: SearchBudget
 ) -> Decision:
+    """Search from vertex ``start``, whose candidates are drawn from ``first``."""
     lists, weights = inst.lists, inst.weights
     m = len(weights)
-    start = pinned[0] if pinned is not None else 0
     wrap = inst.topology is _CYCLE
     # chosen[v] is the color set kept for vertex v on the current branch
     chosen = [_NONE] * m
@@ -67,7 +67,6 @@ def _search(
     # one lazy iterator over the candidate subsets of each vertex on the
     # current branch: ``combos`` for the vertex ``v`` being tried, ``stack``
     # for those before it; the pinned vertex's only candidate is its forced set
-    first = pinned[1] if pinned is not None else lists[0]
     combos = itertools.combinations(sorted(first), weights[start])
     stack = []
     v = start

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -94,6 +95,21 @@ class TestEmit:
             emit_decision(d)
             == '{"colorable": false, "certificate": {"i": 0, "j": 1, "amplitude": 1, "demand": 2}}'
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[true]", "top-level value must be an object"),
+            ('{"colorable": 1, "coloring": [[1]]}', 'field "colorable" must be a boolean'),
+            (
+                '{"colorable": false, "certificate": [0, 1, 1, 2]}',
+                'field "certificate" must be an object',
+            ),
+        ],
+    )
+    def test_decision_document_of_the_wrong_kind(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_decision(text)
 
     def test_decision_round_trip(self):
         for d in [
@@ -428,6 +444,7 @@ class TestMain:
         # proper cycle coloring of those lists, but ignoring the forced pin
         unpinned = self._doc(tmp_path, "[[3,4],[1,2],[5,6],[1,2]]", "c.json")
         assert main(["verify", inst, unpinned]) == 1
+        assert capsys.readouterr() == ('{"valid": false}\n', "")
 
     def test_fchr_subcommand(self, capsys):
         assert main(["fchr", "--n", "7"]) == 0
@@ -573,6 +590,32 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("parse error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "instance, coloring, message",
+        [
+            ("[1]", None, "top-level value must be an object"),
+            (
+                '{"graph":"cycle","weights":[1,1,1],"lists":[[1],[2],[3]],"forced":[0,[1]]}',
+                None,
+                'field "forced" must be an object',
+            ),
+            (
+                # decide's own "no" answer, which carries no coloring
+                PATH_DOC,
+                '{"colorable": false, "certificate": '
+                '{"i": 0, "j": 1, "amplitude": 1, "demand": 2}}',
+                'coloring document must contain a "coloring" field',
+            ),
+            (PATH_DOC, '"[[1], [2]]"', "coloring must be an array of color arrays"),
+        ],
+        ids=["instance", "forced", "coloring-object", "coloring-string"],
+    )
+    def test_document_of_the_wrong_kind_exit_two(
+        self, tmp_path, capsys, instance, coloring, message
+    ):
+        assert self._run(tmp_path, instance, coloring) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
 
     def test_counterexample_odd_length_exit_zero(self, capsys):
         assert main(["counterexample", "--a", "7", "--b", "3", "--n", "5"]) == 0

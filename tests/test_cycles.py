@@ -229,8 +229,7 @@ class TestSolveFreeChoice:
             fi = FreeChoiceInstance(Instance.cycle((2,) * 4, lists), v0, forced)
             d = solve_free_choice(fi)
             assert d.colorable
-            assert validate_coloring(fi.cycle, d.coloring)
-            assert d.coloring[v0] == forced
+            assert validate_coloring(fi, d.coloring)
 
     def test_counterexample_yields_path_certificate(self):
         d = solve_free_choice(counterexample_list(4, 2, 4))
@@ -262,8 +261,7 @@ class TestSolveFreeChoice:
             d = solve_free_choice(fi)
             assert d.colorable == brute_force_forced(fi).colorable
             if d.colorable:
-                assert validate_coloring(fi.cycle, d.coloring)
-                assert d.coloring[v0] == forced
+                assert validate_coloring(fi, d.coloring)
 
 
 class TestCounterexampleList:

@@ -44,7 +44,7 @@ def test_alphas_match_the_checkers_hall_sum():
         for lists in all_lists((1, 2, 3), 2, m):
             for i in range(m):
                 for j in range(i, m):
-                    summands = {s.color: s.alpha for s in hall_summands(lists, i, j)}
+                    summands = dict(hall_summands(lists, i, j))
                     for k in (1, 2, 3):
                         alone = [[k] if k in colors else [] for colors in lists]
                         expected = check.hall_sum(alone, i, j)
@@ -68,8 +68,8 @@ class TestAlphaPath:
     def test_summands_cover_amplitude(self):
         lists = L({1, 2}, {2, 3, 4}, {4, 5})
         summands = hall_summands(lists, 0, 2)
-        assert [s.color for s in summands] == sorted(amplitude(lists, 0, 2))
-        assert all(s.alpha == alpha_path(lists, 0, 2, s.color) for s in summands)
+        assert [k for k, _ in summands] == sorted(amplitude(lists, 0, 2))
+        assert all(alpha == alpha_path(lists, 0, 2, k) for k, alpha in summands)
 
 
 class TestHallCheckPath:
@@ -182,6 +182,12 @@ class TestDecideWaterfall:
         with pytest.raises(NotWaterfallError):
             decide_waterfall(L({1}, {2}, {1}), (1, 1, 1))
 
+    def test_waterfall_form_is_a_precondition(self):
+        # a hypothesis of the deciders that check it, as the good bound is
+        assert issubclass(NotWaterfallError, PreconditionError)
+        with pytest.raises(PreconditionError, match="share a color"):
+            decide_waterfall_prefix(L({1}, {2}, {1}), (1, 1, 1))
+
     def test_first_violation_need_not_be_a_prefix(self):
         # every prefix reaches its demand; vertices 1..2 share one color
         d = decide_waterfall(L({1, 2}, {3}, {3}), (1, 1, 1))
@@ -291,9 +297,8 @@ class TestConstructColoringWaterfall:
         with pytest.raises(PreconditionError, match=r"vertices 0\.\.1 demand 2 colors"):
             construct_coloring_waterfall(L({1}, {1}), (1, 1))
 
-    def test_backtracking_rescues_greedy_dead_ends(self):
-        # every colorable waterfall instance in this family must be colored,
-        # whichever path the greedy takes
+    def test_colors_every_colorable_small_waterfall(self):
+        # every colorable waterfall instance in this family must be colored
         universe = tuple(range(1, 5))
         for m in (2, 3):
             for lists in waterfall_lists(universe, 3, m):

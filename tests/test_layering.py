@@ -22,7 +22,10 @@ round trip plans once, and it is the package's one memo.
 ``choosable waterfall`` writes the labels the stages place and the fresh
 labels in the order they were issued, never the tuple of frozensets that
 ``to_waterfall`` returns or a sorted copy of ``fresh_colors``.  Functions
-read the ``Topology`` members that ``model`` binds once.
+read the ``Topology`` members that ``model`` binds once.  Each fact has the
+one owner that knows it: the model checks a pinned coloring's pin, the
+oracle's callers say where its search starts, and a Hall summand is a plain
+``(color, alpha)`` pair.
 """
 
 import ast
@@ -272,3 +275,54 @@ def test_waterfall_command_streams_from_the_stages():
     # the stages place every label, a list in waterfall form too, so the
     # command has no placement loop of its own
     assert not any(isinstance(node, ast.For) for node in ast.walk(command))
+
+
+def function_nodes(module, name):
+    """Every AST node of the function ``name`` in ``choosable.<module>``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    (func,) = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return list(ast.walk(func))
+
+
+def test_hall_summands_are_no_records():
+    # a summand is a (color, alpha) pair; the subpath is the caller's own
+    tree = ast.parse((PACKAGE / "hall.py").read_text(encoding="utf-8"))
+    records = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", "") == "_Record" for base in node.bases)
+    ]
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "as_lists" in imported  # the walk sees the model import
+    assert records == [] and "_Record" not in imported
+
+
+def test_verify_leaves_the_pin_to_the_model():
+    # validate_coloring checks a pinned cycle's pin, so the command makes one call
+    nodes = function_nodes("cli", "cmd_verify")
+    names = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert "validate_coloring" in names  # the walk sees the call
+    assert not names & {"v0", "forced", "cycle", "isinstance"}, names
+
+
+def test_search_is_told_where_to_start():
+    # each caller knows its start vertex and first list, so there is no
+    # absent pin to test for
+    nodes = function_nodes("oracle", "_search")
+    assert any(isinstance(node, ast.Compare) for node in nodes)  # the walk sees comparisons
+    compared = [
+        side
+        for node in nodes
+        if isinstance(node, ast.Compare)
+        for side in (node.left, *node.comparators)
+    ]
+    assert not any(isinstance(side, ast.Constant) and side.value is None for side in compared)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from choosable import (
     Certificate,
     Decision,
+    FreeChoiceInstance,
     Instance,
     InvalidInputError,
     amplitude,
@@ -54,6 +55,17 @@ class TestValidateColoring:
         inst = Instance.path((1, 1), L({1}, {2}))
         with pytest.raises(InvalidInputError):
             validate_coloring(inst, L({1},))
+
+    def test_a_pinned_cycle_checks_its_pin(self):
+        # proper on the cycle is not enough: v0 must get exactly the forced set
+        cycle = Instance.cycle((1, 1, 1), L({1, 2, 3}, {1, 2, 3}, {1, 2, 3}))
+        fi = FreeChoiceInstance(cycle, 1, {2})
+        for c in itertools.permutations(L({1}, {2}, {3})):
+            assert validate_coloring(cycle, c)
+            assert validate_coloring(fi, c) == (c[1] == {2}), c
+        assert not validate_coloring(fi, L({1}, {2}, {1}))  # the wrap edge
+        with pytest.raises(InvalidInputError):
+            validate_coloring(fi, L({1}, {2}))
 
     def test_every_small_coloring_matches_the_edge_list(self):
         # every coloring of paths of 1-4 and cycles of 3-5 vertices over the

@@ -20,7 +20,6 @@ from choosable import (
     ChoiceParameters,
     Decision,
     FreeChoiceInstance,
-    HallSummand,
     Instance,
     SearchBudget,
     TransformReport,
@@ -47,11 +46,6 @@ CASES = [
         Decision,
         lambda: Decision(False, certificate=Certificate(0, 1, 1, 2)),
         f"Decision(colorable=False, coloring=None, certificate={CERT})",
-    ),
-    (
-        HallSummand,
-        lambda: HallSummand(3, (0, 2), 2),
-        "HallSummand(color=3, subpath=(0, 2), alpha=2)",
     ),
     (ChoiceParameters, lambda: ChoiceParameters(5, 2), "ChoiceParameters(a=5, b=2)"),
     (
@@ -105,7 +99,6 @@ def test_equal_by_exact_type_and_fields(cls, make, text):
 def test_a_record_is_no_tuple():
     cert = Certificate(0, 1, 1, 2)
     assert cert != (0, 1, 1, 2)
-    assert HallSummand(1, 2, 3) != TransformReport(1, 2, 3)
     with pytest.raises(TypeError):
         cert[0]
     with pytest.raises(TypeError):
